@@ -38,7 +38,7 @@ from ..text.interning import (
     tokenize,
     use_text_memo,
 )
-from ..text.phrases import phrases_from_words
+from ..text.phrases import countable_terms, phrases_from_words
 from ..text.stopwords import is_stopword
 from ..text.vocabulary import TermInterner, Vocabulary
 from .columnar import (
@@ -112,39 +112,6 @@ def _stats_chunk(documents: list[Document]) -> list[tuple[str, list[str]]]:
     return out
 
 
-def _columnar_document_terms(document: Document, memo: TextMemo) -> list[str]:
-    """:func:`document_terms` over memoized sentence columns.
-
-    Emits the same list: per-sentence non-stopword lower-cased words
-    (all sentences first), then per-sentence 2- and 3-gram phrases whose
-    first and last words are non-stopwords — the exact
-    :func:`~repro.text.phrases.phrases_from_words` sweep order, with the
-    stopword predicate precomputed per token instead of re-evaluated per
-    n-gram.  (``_valid_phrase``'s leading-digit rule only applies to
-    unigrams, which this sweep never emits.)
-    """
-    words: list[str] = []
-    phrases: list[str] = []
-    append = phrases.append
-    for sentence in memo.sentences(document.text):
-        columns = memo.sentence_columns(sentence)
-        lowers = columns.lowers
-        stops = columns.stops
-        words.extend(
-            [lower for lower, stop in zip(lowers, stops) if not stop]
-        )
-        tail = lowers[1:]
-        for a, b, stop_a, stop_b in zip(lowers, tail, stops, stops[1:]):
-            if not stop_a and not stop_b:
-                append(a + " " + b)
-        for a, b, c, stop_a, stop_c in zip(
-            lowers, tail, lowers[2:], stops, stops[2:]
-        ):
-            if not stop_a and not stop_c:
-                append(a + " " + b + " " + c)
-    return words + phrases
-
-
 def _columnar_stats_chunk(
     documents: list[Document],
 ) -> list[tuple[str, list[str]]]:
@@ -166,7 +133,7 @@ def _columnar_stats_chunk(
             for document in documents
         ]
     return [
-        (document.doc_id, _columnar_document_terms(document, memo))
+        (document.doc_id, countable_terms(document.text, memo))
         for document in documents
     ]
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from collections.abc import Callable
 
 from ..corpus.document import Document
-from ..text.interning import tokenize
-from ..text.phrases import candidate_phrases
-from ..text.stopwords import is_stopword
+from ..text.interning import TextMemo, active_memo
+from ..text.phrases import countable_terms
 from ..text.vocabulary import Vocabulary
 from .base import ExtractorName, TermExtractor
 
@@ -111,20 +111,17 @@ class SignificantTermsExtractor(TermExtractor):
         document, so callers (the incremental pipeline) may cache it and
         re-run only :meth:`score_candidates` when the background corpus
         statistics change.
+
+        Candidates are the document's
+        :func:`~repro.text.phrases.countable_terms` — its non-stopword
+        words, then each sentence's bigrams and trigrams that neither
+        start nor end with a stopword — read from the active memo's
+        sentence columns (a throwaway memo when none is active).  The
+        list keeps first-occurrence order, words before phrases: it is
+        stored as is in incremental checkpoints.
         """
-        counts: dict[str, int] = {}
-        words = [
-            token.lower
-            for token in tokenize(document.text)
-            if not is_stopword(token.lower)
-        ]
-        for word in words:
-            counts[word] = counts.get(word, 0) + 1
-        for phrase in candidate_phrases(
-            document.text, max_words=3, include_unigrams=False
-        ):
-            counts[phrase] = counts.get(phrase, 0) + 1
-        return list(counts.items())
+        memo = active_memo() or TextMemo()
+        return list(Counter(countable_terms(document.text, memo)).items())
 
     def score_candidates(
         self,

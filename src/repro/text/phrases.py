@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .interning import sentences, tokenize
+from .interning import TextMemo, sentences, tokenize
 from .stopwords import is_stopword
 from .tokenizer import Token
 
@@ -76,6 +76,41 @@ def candidate_phrases(
             )
         )
     return phrases
+
+
+def countable_terms(text: str, memo: TextMemo) -> list[str]:
+    """Words and 2-3-word phrases of ``text``, from memoized columns.
+
+    Emits every sentence's non-stopword lower-cased words (all sentences
+    first), then every sentence's bigrams and trigrams whose first and
+    last words are non-stopwords: the :func:`phrases_from_words` sweep
+    with ``include_unigrams=False``, with the stopword predicate read
+    from the precomputed column instead of re-evaluated per n-gram
+    (``_valid_phrase``'s leading-digit rule only applies to unigrams,
+    which the sweep never emits).  Sentence splitting only cuts at
+    whitespace, which no token spans, so the words are exactly the
+    whole text's non-stopword words.
+    """
+    words: list[str] = []
+    phrases: list[str] = []
+    append = phrases.append
+    for sentence in memo.sentences(text):
+        columns = memo.sentence_columns(sentence)
+        lowers = columns.lowers
+        stops = columns.stops
+        words.extend(
+            [lower for lower, stop in zip(lowers, stops) if not stop]
+        )
+        tail = lowers[1:]
+        for a, b, stop_a, stop_b in zip(lowers, tail, stops, stops[1:]):
+            if not stop_a and not stop_b:
+                append(a + " " + b)
+        for a, b, c, stop_a, stop_c in zip(
+            lowers, tail, lowers[2:], stops, stops[2:]
+        ):
+            if not stop_a and not stop_c:
+                append(a + " " + b + " " + c)
+    return words + phrases
 
 
 def capitalized_spans(text: str) -> list[list[Token]]:

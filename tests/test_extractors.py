@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import hashlib
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.config import ReproConfig
+from repro.corpus import build_snb
 from repro.corpus.document import Document
 from repro.errors import ExtractionError
 from repro.extractors.base import ExtractorName
@@ -11,6 +17,10 @@ from repro.extractors.named_entities import NamedEntityExtractor
 from repro.extractors.registry import build_extractor, build_extractors
 from repro.extractors.significant_terms import SignificantTermsExtractor
 from repro.extractors.wiki_titles import WikipediaTitleExtractor
+from repro.text.interning import TextMemo, use_text_memo
+from repro.text.phrases import phrases_from_words
+from repro.text.stopwords import is_stopword
+from repro.text.tokenizer import sentences, tokenize
 from repro.text.vocabulary import Vocabulary
 
 
@@ -150,6 +160,67 @@ class TestSignificantTermsExtractor:
         start = time.perf_counter()
         extractor.extract(doc("Quick latency check."))
         assert time.perf_counter() - start >= 0.01
+
+
+def _reference_candidate_counts(text: str) -> list[tuple[str, int]]:
+    """Token-object candidate counting, the scalar reference.
+
+    Whole-text unigrams first, then each sentence's bigrams and
+    trigrams, in first-occurrence order: the list order is part of the
+    incremental checkpoint format.
+    """
+    counts: dict[str, int] = {}
+    for token in tokenize(text):
+        if not is_stopword(token.lower):
+            counts[token.lower] = counts.get(token.lower, 0) + 1
+    for sentence in sentences(text):
+        words = [token.lower for token in tokenize(sentence)]
+        for phrase in phrases_from_words(words, max_words=3, include_unigrams=False):
+            counts[phrase] = counts.get(phrase, 0) + 1
+    return list(counts.items())
+
+
+#: sha256 of the canonical JSON of ``candidate_counts`` over the first
+#: 120 SNB documents at scale 0.05 (the benchmark's corpus).
+_SNB_CANDIDATES_GOLDEN = "045e69e7787605bf106d0dd0a623ed0e1a093302c17229f0522fbb9e3a104486"
+
+_SENTENCE_TEXT = st.lists(
+    st.sampled_from(
+        ["The", "the", "of", "Paris", "market", "Mr.", "U.S.", "1,000", "3.14",
+         "well-known", "don't", "café", ".", "!", "?", "—", ",", "\n", '"Go']
+    ),
+    max_size=40,
+).map(" ".join)
+
+
+class TestCandidateCountsPinned:
+    @pytest.fixture(scope="class")
+    def snb_documents(self):
+        return list(build_snb(ReproConfig(scale=0.05)))[:120]
+
+    @pytest.mark.parametrize("memo", [False, True], ids=["plain", "memo"])
+    def test_snb_golden(self, snb_documents, memo):
+        extractor = SignificantTermsExtractor()
+        if memo:
+            with use_text_memo(TextMemo()):
+                outputs = [extractor.candidate_counts(d) for d in snb_documents]
+        else:
+            outputs = [extractor.candidate_counts(d) for d in snb_documents]
+        assert outputs[0] == _reference_candidate_counts(snb_documents[0].text)
+        payload = json.dumps(outputs, separators=(",", ":"))
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        assert digest == _SNB_CANDIDATES_GOLDEN
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SENTENCE_TEXT, st.booleans())
+    def test_matches_reference(self, text, memo):
+        extractor = SignificantTermsExtractor()
+        if memo:
+            with use_text_memo(TextMemo()):
+                got = extractor.candidate_counts(doc(text))
+        else:
+            got = extractor.candidate_counts(doc(text))
+        assert got == _reference_candidate_counts(doc(text).text)
 
 
 class TestWikipediaTitleExtractor:

@@ -116,3 +116,30 @@ class TestNormalizeTerm:
     def test_idempotent(self, text):
         once = normalize_term(text)
         assert normalize_term(once) == once
+
+
+# Text built from the characters the word pattern treats specially:
+# letters of both cases, non-ASCII letters (word breakers), digits with
+# grouping/decimal marks, hyphens, apostrophes and assorted punctuation.
+_TRICKY_TEXT = st.lists(
+    st.sampled_from(list("aZqé ßΩ09-'.,;—\t\n!?\"") + ["1,000", "3.14"]),
+    max_size=80,
+).map("".join)
+
+
+class TestTokenStreamConcatenation:
+    @given(_TRICKY_TEXT, _TRICKY_TEXT, st.data())
+    def test_space_joined_slice_retokenizes_to_itself(self, text, source, data):
+        """Re-tokenizing ``text`` plus a space-joined slice of a token
+        stream gives ``text``'s tokens followed by the slice unchanged.
+
+        The search engine's snippet miner relies on this: a snippet is
+        the page title plus a space-joined window of the page's tokens,
+        so its words are the title's words followed by that window.
+        """
+        words = word_tokens(source)
+        start = data.draw(st.integers(min_value=0, max_value=len(words)))
+        stop = data.draw(st.integers(min_value=start, max_value=len(words)))
+        window = words[start:stop]
+        joined = f"{text} {' '.join(window)}"
+        assert word_tokens(joined) == word_tokens(text) + window
