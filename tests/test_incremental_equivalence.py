@@ -6,8 +6,8 @@ after any sequence of appends.  This module certifies it across:
 
 * batch schedules with k ∈ {1, 2, 5} appends, including an empty batch
   and single-document batches, plus a seeded randomized split;
-* worker counts {1, 4} and ``batch_queries`` on/off — the full
-  execution-mode matrix of the batch pipeline;
+* worker counts {1, 4} — the execution modes of the batch pipeline
+  (the 4-worker run also starts the resource prefetcher);
 * serialization round trips — the state that continues appending after
   a snapshot/restore must land on the same bytes.
 
@@ -93,15 +93,12 @@ def schedule(key: int, docs: list) -> list[list]:
 
 
 class TestDifferentialEquivalence:
-    @pytest.mark.parametrize("batch_queries", [True, False])
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("batches", [1, 2, 5])
     def test_every_schedule_and_mode_matches_full_recompute(
-        self, inc_builder, docs, baseline, batches, workers, batch_queries
+        self, inc_builder, docs, baseline, batches, workers
     ):
-        inc_builder.with_parallel(
-            ParallelConfig(workers=workers, batch_queries=batch_queries)
-        )
+        inc_builder.with_parallel(ParallelConfig(workers=workers))
         extractor = inc_builder.build_incremental()
         for batch in schedule(batches, docs):
             extractor.append(batch)

@@ -9,19 +9,22 @@ Covers the engine added around the resource layer:
   respect namespace isolation, chunk large key sets under SQLite's
   parameter limit, and upsert on conflict;
 * ``context_terms_many`` answers exactly like per-term
-  ``context_terms``, and batched contextualization is byte-identical to
-  the per-term path at any worker count;
+  ``context_terms``, and batched contextualization lands on a pinned
+  digest, equal to a per-term reference expansion, at any worker count;
 * the vectorized selection tables (``ShiftTables``,
   ``LikelihoodTables``) reproduce the scalar reference bit for bit;
-* prefetch only warms caches — pipeline output is identical with it on
-  or off, and a failing prefetch degrades to a logged counter.
+* prefetch only warms caches — pipeline output is the pinned one
+  whether the prefetcher runs or not, and a failing prefetch degrades
+  to a logged counter.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import threading
 import time
+from types import SimpleNamespace
 
 from repro.config import ParallelConfig, ReproConfig
 from repro.core.contextualize import contextualize
@@ -35,11 +38,13 @@ from repro.corpus import build_corpus
 from repro.corpus.datasets import DatasetName
 from repro.db.resource_cache import PersistentResourceCache
 from repro.errors import ResourceError
-from repro.observability import MetricsRegistry
+from repro.incremental import canonical_json
+from repro.observability import MetricsRegistry, Observability
 from repro.parallel import map_chunks
 from repro.resources import ResourcePrefetcher, SingleFlight
 from repro.resources.base import ExternalResource, ResourceName
 from repro.resources.resilience import SimulatedLatencyResource
+from repro.text.tokenizer import normalize_term
 from repro.text.vocabulary import Vocabulary
 
 
@@ -88,6 +93,60 @@ class FailOnceResource(ExternalResource):
             if self.attempts == 1:
                 raise ResourceError("first query fails")
         return [f"ok {term}"]
+
+
+#: sha256 of :func:`expansion_digest` for the NE-annotated SNYT corpus
+#: at scale 0.02 expanded with Wikipedia Graph + WordNet.
+GOLDEN_EXPANSION_DIGEST = (
+    "f0ac26d7f72a08cc724532c68d7d58e33e7c162ba4a923d65b0dc05cd3a686b7"
+)
+
+#: sha256 of :func:`facet_digest` for the default pipeline's facet terms
+#: on SNYT at scale 0.02, seed 20080407.
+GOLDEN_FACET_DIGEST = (
+    "23e50bcffd604d67f5f3dc6029d8be1b9125cec32c09b815893e26693bcd7b87"
+)
+
+
+def expansion_digest(contextualized) -> str:
+    payload = {
+        "context": contextualized.context_terms,
+        "expanded": {
+            doc_id: sorted(terms)
+            for doc_id, terms in contextualized.expanded_sets.items()
+        },
+    }
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def facet_digest(facet_terms) -> str:
+    rows = [
+        [c.term, c.df_original, c.df_contextualized, c.shift_f, c.shift_r, c.score.hex()]
+        for c in facet_terms
+    ]
+    return hashlib.sha256(canonical_json(rows).encode("utf-8")).hexdigest()
+
+
+def per_term_expansion(annotated, resources):
+    """Reference Step 2: one ``context_terms`` call per (term, resource)
+    pair, merged per document in first-seen order of the normalized key."""
+    context_terms: dict[str, list[str]] = {}
+    expanded_sets: dict[str, set[str]] = {}
+    for document in annotated.documents:
+        merged: list[str] = []
+        seen: set[str] = set()
+        for term in annotated.important(document.doc_id):
+            for resource in resources:
+                for context_term in resource.context_terms(term):
+                    key = normalize_term(context_term)
+                    if key and key not in seen:
+                        seen.add(key)
+                        merged.append(context_term)
+        context_terms[document.doc_id] = merged
+        expanded_sets[document.doc_id] = (
+            set(annotated.term_sets.get(document.doc_id, set())) | seen
+        )
+    return SimpleNamespace(context_terms=context_terms, expanded_sets=expanded_sets)
 
 
 class TestSingleFlight:
@@ -249,25 +308,21 @@ class TestBatchedContextualization:
         config, builder, annotated = self._pipeline_pieces()
         from repro.resources.registry import build_resources
 
-        def expand(batch_queries: bool, workers: int):
-            resources = build_resources(
+        def resources():
+            return build_resources(
                 [ResourceName.WIKI_GRAPH, ResourceName.WORDNET],
                 builder.substrates,
                 config,
             )
-            return contextualize(
-                annotated,
-                resources,
-                ParallelConfig(
-                    workers=workers, batch_queries=batch_queries, prefetch=False
-                ),
-            )
 
-        baseline = expand(batch_queries=False, workers=1)
-        for batch_queries, workers in ((True, 1), (True, 4), (False, 4)):
-            other = expand(batch_queries, workers)
-            assert other.context_terms == baseline.context_terms
-            assert other.expanded_sets == baseline.expanded_sets
+        reference = per_term_expansion(annotated, resources())
+        for workers in (1, 4):
+            expanded = contextualize(
+                annotated, resources(), ParallelConfig(workers=workers)
+            )
+            assert expansion_digest(expanded) == GOLDEN_EXPANSION_DIGEST
+            assert expanded.context_terms == reference.context_terms
+            assert expanded.expanded_sets == reference.expanded_sets
 
 
 class TestVectorizedSelection:
@@ -307,21 +362,27 @@ class TestVectorizedSelection:
 
 class TestPrefetch:
     def test_pipeline_output_identical_with_prefetch_on_and_off(self):
+        """The prefetcher runs only on a thread pool with workers > 1; the
+        facet terms are the pinned ones either way."""
         from repro.builder import FacetPipelineBuilder
 
         config = ReproConfig(scale=0.02)
-
-        def facets(prefetch: bool):
+        documents = build_corpus(DatasetName.SNYT, config).documents
+        for workers, backend, prefetches in (
+            (4, "thread", True),
+            (1, "thread", False),
+            (2, "process", False),
+        ):
             builder = FacetPipelineBuilder(ReproConfig(scale=0.02))
-            builder.with_parallel(
-                ParallelConfig(workers=4, prefetch=prefetch)
+            builder.with_parallel(ParallelConfig(workers=workers, backend=backend))
+            pipeline = builder.build()
+            pipeline.observability = Observability.enabled()
+            result = pipeline.run(documents)
+            batches = pipeline.observability.metrics.counters.get(
+                "prefetch.batches", 0
             )
-            result = builder.build().run(
-                build_corpus(DatasetName.SNYT, config).documents
-            )
-            return result.facet_terms
-
-        assert facets(prefetch=True) == facets(prefetch=False)
+            assert (batches > 0) == prefetches
+            assert facet_digest(result.facet_terms) == GOLDEN_FACET_DIGEST
 
     def test_prefetcher_warms_cache_and_merges_metrics_once(self):
         resource = SlowResource()
