@@ -5,8 +5,7 @@ runs ``bench_efficiency.py`` / ``bench_incremental.py`` /
 ``bench_serving.py`` on a tiny corpus and then calls this script on the
 ``BENCH_<name>.json`` each wrote::
 
-    python benchmarks/check_bench_json.py efficiency  --min-speedup 2.0 \
-        --min-columnar-speedup 4.0
+    python benchmarks/check_bench_json.py efficiency
     python benchmarks/check_bench_json.py incremental --min-speedup 3.0
     python benchmarks/check_bench_json.py serving     --min-rps 20
 
@@ -126,32 +125,10 @@ _EFFICIENCY_NUMERIC = (
     "per_stage.expansion_local_s_per_doc",
     "per_stage.selection_s",
     "per_stage.hierarchy_s",
-    "parallel.serial_s",
-    "parallel.parallel_s",
+    "parallel.cold_s",
     "parallel.warm_s",
-    "parallel.speedup",
     "parallel.warm_speedup",
-    "batched.per_term_s",
-    "batched.batched_s",
-    "batched.per_term_round_trips",
-    "batched.batched_round_trips",
-    "batched.speedup",
-    "columnar.documents",
-    "columnar.legacy_annotation_s",
-    "columnar.legacy_contextualization_s",
-    "columnar.legacy_selection_s",
-    "columnar.columnar_annotation_s",
-    "columnar.columnar_contextualization_s",
-    "columnar.columnar_selection_s",
-    "columnar.legacy_annotation_docs_per_s",
-    "columnar.legacy_contextualization_docs_per_s",
-    "columnar.legacy_selection_docs_per_s",
-    "columnar.columnar_annotation_docs_per_s",
-    "columnar.columnar_contextualization_docs_per_s",
-    "columnar.columnar_selection_docs_per_s",
-    "columnar.annotation_speedup",
-    "columnar.contextualization_speedup",
-    "columnar.speedup",
+    "parallel.warm_persistent_hits",
     "instrumented.documents",
     "instrumented.workers",
 )
@@ -159,42 +136,25 @@ _EFFICIENCY_NUMERIC = (
 
 def check_efficiency(payload: dict, options) -> list[str]:
     problems = _require_numeric(payload, _EFFICIENCY_NUMERIC)
-    speedup = _numeric(payload, "batched.speedup")
-    if speedup is not None and speedup < options.min_speedup:
+    hits = _numeric(payload, "parallel.warm_persistent_hits")
+    if hits is not None and hits <= 0:
+        problems.append("parallel.warm_persistent_hits is not positive")
+    cold = _numeric(payload, "parallel.cold_s")
+    warm = _numeric(payload, "parallel.warm_s")
+    if cold is not None and warm is not None and warm >= cold:
         problems.append(
-            f"batched.speedup {speedup:.2f} below minimum "
-            f"{options.min_speedup:.2f}"
+            f"parallel.warm_s {warm:.2f} not below parallel.cold_s {cold:.2f}"
         )
-    batched = payload.get("batched")
-    if isinstance(batched, dict) and batched.get("identical_output") is not True:
-        problems.append("batched.identical_output is not true")
-    columnar_speedup = _numeric(payload, "columnar.annotation_speedup")
-    if (
-        columnar_speedup is not None
-        and columnar_speedup < options.min_columnar_speedup
-    ):
-        problems.append(
-            f"columnar.annotation_speedup {columnar_speedup:.2f} below "
-            f"minimum {options.min_columnar_speedup:.2f}"
-        )
-    columnar = payload.get("columnar")
-    if isinstance(columnar, dict) and columnar.get("identical_output") is not True:
-        problems.append("columnar.identical_output is not true")
     return problems
 
 
 def summarize_efficiency(path: pathlib.Path, payload: dict) -> str:
-    batched = payload["batched"]
-    columnar = payload["columnar"]
+    parallel = payload["parallel"]
     return (
-        f"OK: {path} matches {payload['schema']}; batched engine "
-        f"{batched['speedup']:.1f}x over per-term "
-        f"({batched['batched_round_trips']} vs "
-        f"{batched['per_term_round_trips']} round trips), columnar plane "
-        f"{columnar['annotation_speedup']:.1f}x on annotation / "
-        f"{columnar['speedup']:.1f}x combined "
-        f"({columnar['columnar_annotation_docs_per_s']:.0f} docs/s "
-        "annotation), output identical"
+        f"OK: {path} matches {payload['schema']}; warm persistent cache "
+        f"{parallel['warm_speedup']:.1f}x over cold "
+        f"({parallel['warm_persistent_hits']} distinct terms from SQLite, "
+        f"{parallel['cold_round_trips']} cold round trips)"
     )
 
 
@@ -297,7 +257,7 @@ def summarize_serving(path: pathlib.Path, payload: dict) -> str:
 BENCHES = {
     "efficiency": BenchSpec(
         "efficiency",
-        "repro.bench_efficiency/2",
+        "repro.bench_efficiency/3",
         "bench_efficiency.py",
         check_efficiency,
     ),
@@ -341,14 +301,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "--min-speedup",
         type=float,
         default=2.0,
-        help="minimum speedup for efficiency/incremental (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--min-columnar-speedup",
-        type=float,
-        default=3.0,
-        help="minimum columnar annotation speedup for efficiency "
-        "(default: %(default)s)",
+        help="minimum speedup for incremental (default: %(default)s)",
     )
     parser.add_argument(
         "--min-rps",

@@ -3,24 +3,16 @@
 A news archive ingests a new day of stories at a time; term and context
 extraction run only on the new batch (resources memoize per-term
 answers), and the facet hierarchies refresh from the accumulated
-statistics.
+statistics — identical to a from-scratch run over the whole archive.
 
 Run:  python examples/incremental_archive.py
 """
 
 from __future__ import annotations
 
-import time
-
 from repro import FacetPipelineBuilder
 from repro.config import ReproConfig
-from repro.core.archive import FacetArchive
 from repro.corpus import build_snyt
-from repro.extractors.base import ExtractorName
-from repro.extractors.registry import build_extractors
-from repro.resources.base import ResourceName
-from repro.resources.composite import CompositeResource
-from repro.resources.registry import build_resources
 
 
 def main() -> None:
@@ -29,30 +21,15 @@ def main() -> None:
     corpus = build_snyt(config)
     days = [corpus.documents[i::3] for i in range(3)]  # three "days"
 
-    extractors = build_extractors(
-        list(ExtractorName), wikipedia=builder.substrates.wikipedia
-    )
-    resources = build_resources(
-        list(ResourceName), builder.substrates, config
-    )
-    archive = FacetArchive(
-        extractors,
-        [CompositeResource(resources)],
-        edge_validator=builder.edge_evidence,
-    )
-
+    archive = builder.build_incremental()
     for day, batch in enumerate(days, start=1):
-        start = time.perf_counter()
-        archive.add_documents(batch)
-        ingest = time.perf_counter() - start
-        start = time.perf_counter()
-        terms = archive.facet_terms(top_k=10)
-        refresh = time.perf_counter() - start
+        report = archive.append(batch, batch_id=f"day-{day}")
         print(
-            f"day {day}: +{len(batch)} stories (ingest {ingest:.2f}s, "
-            f"facet refresh {refresh:.2f}s); archive={len(archive)}"
+            f"day {day}: +{report.documents} stories in {report.seconds:.2f}s "
+            f"({report.dirty_documents} older stories re-expanded); "
+            f"archive={archive.document_count}"
         )
-        print("  top facets:", ", ".join(c.term for c in terms[:8]))
+        print("  top facets:", ", ".join(archive.facet_term_strings()[:8]))
 
 
 if __name__ == "__main__":

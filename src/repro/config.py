@@ -90,7 +90,9 @@ class ParallelConfig:
         Worker pool size for Step 1 annotation and Step 2
         contextualization.  ``1`` (default, or ``REPRO_WORKERS``) runs
         the stages serially; results are bit-for-bit identical at every
-        worker count.
+        worker count.  A thread-backed pool with more than one worker
+        also warms the resource caches with each annotation chunk's
+        important terms while later chunks are still being tagged.
     chunk_size:
         Documents per work chunk; None derives a size from the corpus
         and worker count.  Chunking never changes results, only
@@ -104,29 +106,6 @@ class ParallelConfig:
         keeps resource caching purely in-process.
     memory_cache_size:
         Bound of each resource's in-process LRU tier.
-    batch_queries:
-        Route contextualization through the batched query engine: each
-        work chunk's distinct important terms are answered with one
-        deduplicated batch per resource (bulk backend lookups, batched
-        persistent-cache I/O, single-flight coalescing) instead of one
-        round trip per term.  Results are bit-for-bit identical either
-        way; False keeps the per-term path (used by benchmarks as the
-        comparison baseline).
-    prefetch:
-        Start resolving each annotation chunk's important terms against
-        the resources while later chunks are still being tagged,
-        overlapping latency-bound expansion with CPU-bound extraction.
-        Prefetch only warms caches (results are identical with it off)
-        and activates only for thread-backed pools with ``workers > 1``.
-    columnar:
-        Run Steps 1-3 on the columnar data plane
-        (:mod:`repro.core.columnar`): normalized terms are interned to
-        stable ``int32`` ids, df/tf/rank statistics live in flat arrays,
-        chunk workers memoize the pure text functions, and process-pool
-        workers read the background vocabulary from a shared read-only
-        memory segment.  Results are bit-for-bit identical either way;
-        False keeps the dict-of-strings path (used by benchmarks as the
-        comparison baseline).
     """
 
     workers: int = field(default_factory=_env_workers)
@@ -134,9 +113,6 @@ class ParallelConfig:
     backend: str = "thread"
     cache_path: str | None = None
     memory_cache_size: int = 65_536
-    batch_queries: bool = True
-    prefetch: bool = True
-    columnar: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:

@@ -21,7 +21,6 @@ from .annotate import AnnotatedDatabase, annotate_database
 from .contextualize import ContextualizedDatabase, contextualize
 from .distributional import divergence_scores, kl_divergence, skew_divergence
 from .dynamic import DynamicFaceter
-from .archive import FacetArchive
 from .export import from_dict, to_dict, to_flat_rows, to_json, to_text_tree
 from .persistence import load_expansions, save_expansions
 from .evidence import LinkEvidence
@@ -40,7 +39,6 @@ __all__ = [
     "contextualize",
     "divergence_scores",
     "DynamicFaceter",
-    "FacetArchive",
     "to_dict",
     "to_json",
     "to_text_tree",

@@ -1,6 +1,6 @@
-"""The columnar data plane for Steps 1-3 (ROADMAP item 2).
+"""The columnar data plane for Steps 1-3.
 
-The dict-of-strings pipeline spends most of its time hashing and
+A dict-of-strings pipeline spends most of its time hashing and
 re-normalizing the same term strings.  This module keeps the string ↔ id
 boundary at the edges (extractor outputs in, facet rendering out) and
 moves everything in between onto flat integer columns:
@@ -24,10 +24,11 @@ importable (and ``REPRO_NO_NUMPY`` is unset); the pure-stdlib ``array``
 fallback produces identical results — both operate on the same integer
 columns and all floats are derived from the same integers.
 
-Everything here is a *representation* change: emitted facets,
-hierarchies, and serving payloads are byte-identical with the plane on
-or off (``ParallelConfig.columnar``), certified by the differential
-tests in ``tests/test_columnar_equivalence.py``.
+Everything here is a *representation*: each structure answers exactly
+what its dict-of-strings counterpart (:class:`~repro.text.vocabulary.Vocabulary`)
+answers, certified piece by piece in ``tests/test_columnar.py``; the
+emitted facets, hierarchies and serving payloads are pinned by the
+golden digests in ``tests/test_columnar_equivalence.py``.
 """
 
 from __future__ import annotations

@@ -5,17 +5,16 @@ the union of returned context terms ``C(d)`` augments the document.  The
 contextualized database keeps, per document, the original terms plus the
 context terms — the input to the comparative analysis of Step 3.
 
-With ``ParallelConfig.columnar`` (and batched queries, the default) the
-expansion runs on the columnar data plane: the run's distinct important
-terms are resolved once (one batch per resource per term shard), every
-answer is normalized and interned once, and the per-document merges
-become integer set operations over precomputed ``(surface, key-id)``
-contribution lists.  Output is byte-identical to the per-chunk path.
+The expansion runs on the columnar data plane: the run's distinct
+important terms are resolved once (one batch per resource per term
+shard), every answer is normalized and interned once, and the
+per-document merges become integer set operations over precomputed
+``(surface, key-id)`` contribution lists.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -41,68 +40,29 @@ class ContextualizedDatabase:
     vocabulary: Vocabulary = field(default_factory=Vocabulary)
     """Term statistics of the contextualized database."""
     columns: DocumentColumns | None = None
-    """Columnar view of per-document expanded term ids (columnar runs)."""
+    """Per-document expanded term ids (None when rebuilt from incremental
+    state)."""
 
     def context(self, doc_id: str) -> list[str]:
         """Context terms ``C(d)`` of one document."""
         return self.context_terms.get(doc_id, [])
 
 
-def _merge_document(
-    important: list[str],
-    answers_for: Callable[[str], Iterable[list[str]]],
-) -> tuple[list[str], list[str]]:
-    """Union per-resource answers for one document, first-seen order.
-
-    Shared by the per-term and batched expansion paths — both feed the
-    same merge, so switching paths cannot change the output.
-    """
-    merged: list[str] = []
-    seen_keys: list[str] = []
-    seen: set[str] = set()
-    for term in important:
-        for answer in answers_for(term):
-            for context_term in answer:
-                key = normalize_term(context_term)
-                if key and key not in seen:
-                    seen.add(key)
-                    seen_keys.append(key)
-                    merged.append(context_term)
-    return merged, seen_keys
-
-
-def _expand_chunk(
+def expand_items(
     resources: list[ExternalResource],
     items: list[tuple[str, list[str]]],
 ) -> list[tuple[str, list[str], list[str]]]:
-    """Per-chunk worker: expand ``(doc_id, I(d))`` into
+    """Expand ``(doc_id, I(d))`` work items into
     ``(doc_id, C(d) surface forms, normalized keys in first-seen order)``.
 
-    Baseline path: one resource round trip per (term, resource) pair.
-    """
-    out: list[tuple[str, list[str], list[str]]] = []
-    for doc_id, important in items:
-        merged, seen_keys = _merge_document(
-            important,
-            lambda term: (resource.context_terms(term) for resource in resources),
-        )
-        out.append((doc_id, merged, seen_keys))
-    return out
-
-
-def _expand_chunk_batched(
-    resources: list[ExternalResource],
-    items: list[tuple[str, list[str]]],
-) -> list[tuple[str, list[str], list[str]]]:
-    """Batched per-chunk worker: one deduplicated batch per resource.
-
-    The chunk's distinct important terms (first-seen surface form per
-    normalized key) are answered with a single
+    The incremental pipeline expands only new/dirty documents through
+    this entry point.  The items' distinct important terms (first-seen
+    surface form per normalized key) are answered with a single
     :meth:`~repro.resources.base.ExternalResource.context_terms_many`
     call per resource — bulk backend lookups, batched persistent-cache
     I/O, and single-flight coalescing across concurrent chunks — then
-    per-document merges run through the same helper as the per-term
-    path, so the output is bit-for-bit identical.
+    merged per document in the same order as the batch pipeline's
+    columnar plan, so both produce identical payloads.
     """
     ordered_terms: list[str] = []
     known_keys: set[str] = set()
@@ -121,35 +81,28 @@ def _expand_chunk_batched(
                 for term, answer in zip(ordered_terms, batch)
             }
         )
-
-    def answers_for(term: str) -> Iterable[list[str]]:
-        key = normalize_term(term)
-        return (table.get(key, []) for table in answer_tables)
-
     out: list[tuple[str, list[str], list[str]]] = []
     for doc_id, important in items:
-        merged, seen_keys = _merge_document(important, answers_for)
+        merged: list[str] = []
+        seen_keys: list[str] = []
+        seen: set[str] = set()
+        for term in important:
+            key = normalize_term(term)
+            for table in answer_tables:
+                for context_term in table.get(key, []):
+                    context_key = normalize_term(context_term)
+                    if context_key and context_key not in seen:
+                        seen.add(context_key)
+                        seen_keys.append(context_key)
+                        merged.append(context_term)
         out.append((doc_id, merged, seen_keys))
     return out
-
-
-def expand_items(
-    resources: list[ExternalResource],
-    items: list[tuple[str, list[str]]],
-) -> list[tuple[str, list[str], list[str]]]:
-    """Public batched expansion of ``(doc_id, I(d))`` work items.
-
-    The incremental pipeline expands only new/dirty documents through
-    this entry point — the same worker the batch pipeline runs per
-    chunk, so both produce identical ``(C(d), seen-key)`` payloads.
-    """
-    return _expand_chunk_batched(resources, items)
 
 
 def _resolve_chunk(
     resources: list[ExternalResource], terms: list[str]
 ) -> list[list[list[str]]]:
-    """Columnar phase-A worker: per-resource batched answers for a shard
+    """Phase-A worker: per-resource batched answers for a shard
     of the run's distinct important terms."""
     return [resource.context_terms_many(terms) for resource in resources]
 
@@ -158,23 +111,33 @@ def _resolve_chunk(
 _NO_PAIRS: tuple[tuple[str, int], ...] = ()
 
 
-def _contextualize_columnar(
+def contextualize(
     annotated: AnnotatedDatabase,
     resources: list[ExternalResource],
-    work: list[tuple[str, list[str]]],
-    settings: ParallelConfig,
-    parallel: ParallelConfig | None,
-    obs: Observability | None,
+    parallel: ParallelConfig | None = None,
+    obs: Observability | None = None,
 ) -> ContextualizedDatabase:
-    """Columnar expansion: resolve the run's distinct terms once, then
-    merge per document with integer set operations.
+    """Run Step 2: query every resource with every important term.
 
-    Produces exactly what the per-chunk batched path produces: resource
-    answers are keyed by normalized term (chunking-invariant, certified
-    by the worker-count equivalence tests), contribution lists preserve
-    resource order and answer order, and the per-document first-seen
-    filter is the same — only executed over interned ids.
+    Resources memoize per-term answers, so cost scales with the number
+    of *distinct* important terms, not with corpus size — this is what
+    makes the offline-expansion deployment of Section V-D practical.
+
+    The run's distinct important terms are resolved once, in shards of
+    one deduplicated batch per resource (sharded over a worker pool when
+    ``parallel.workers > 1``); then every document merges its answers
+    with integer set operations.  Resource answers are keyed by
+    normalized term, so sharding cannot change them; contribution lists
+    preserve resource order and answer order, and the per-document
+    filter keeps the first-seen surface of each key — the same merge
+    :func:`expand_items` runs over strings.  The contextualized database
+    is bit-for-bit identical at every worker count.
     """
+    settings = parallel or ParallelConfig(workers=1)
+    work: list[tuple[str, list[str]]] = [
+        (document.doc_id, annotated.important(document.doc_id))
+        for document in annotated.documents
+    ]
     interner = (
         annotated.columns.interner
         if annotated.columns is not None
@@ -269,21 +232,6 @@ def _contextualize_columnar(
         expanded_sets[doc_id] = {terms_by_id[i] for i in expanded_ids}
         vocabulary.add_document_distinct_ids(expanded_ids)
         columns.add_document_ids(doc_id, sorted(expanded_ids))
-    _record_metrics(work, context_terms, vocabulary)
-    return ContextualizedDatabase(
-        annotated=annotated,
-        context_terms=context_terms,
-        expanded_sets=expanded_sets,
-        vocabulary=vocabulary,
-        columns=columns,
-    )
-
-
-def _record_metrics(
-    work: list[tuple[str, list[str]]],
-    context_terms: dict[str, list[str]],
-    vocabulary: Vocabulary,
-) -> None:
     metrics = current_metrics()
     if metrics is not None:
         metrics.increment("contextualize.documents", len(work))
@@ -293,69 +241,10 @@ def _record_metrics(
             sum(len(terms) for terms in context_terms.values()),
         )
         metrics.gauge("contextualize.vocabulary_size", len(vocabulary))
-
-
-def contextualize(
-    annotated: AnnotatedDatabase,
-    resources: list[ExternalResource],
-    parallel: ParallelConfig | None = None,
-    obs: Observability | None = None,
-) -> ContextualizedDatabase:
-    """Run Step 2: query every resource with every important term.
-
-    Resources memoize per-term answers, so cost scales with the number
-    of *distinct* important terms, not with corpus size — this is what
-    makes the offline-expansion deployment of Section V-D practical.
-
-    With ``parallel.workers > 1`` documents are sharded over a worker
-    pool; the shared two-tier resource cache means each distinct term is
-    still (normally) answered once per run.  Per-document results are
-    folded in document order, so the contextualized database is
-    bit-for-bit identical at every worker count.
-
-    With ``parallel.batch_queries`` (the default) each chunk resolves
-    its distinct important terms through one deduplicated batch per
-    resource instead of one round trip per term; the per-term path
-    remains available as the benchmark baseline and produces identical
-    output.
-
-    With ``parallel.columnar`` on top of batched queries the expansion
-    moves to the run-level columnar plan (:func:`_contextualize_columnar`);
-    with batched queries off, the columnar flag only wraps the per-term
-    baseline workers in a text-function memo.  All combinations emit
-    byte-identical databases.
-    """
-    work: list[tuple[str, list[str]]] = [
-        (document.doc_id, annotated.important(document.doc_id))
-        for document in annotated.documents
-    ]
-    settings = parallel or ParallelConfig(workers=1)
-    if settings.columnar and settings.batch_queries:
-        return _contextualize_columnar(
-            annotated, resources, work, settings, parallel, obs
-        )
-    chunk_size = settings.resolve_chunk_size(len(work))
-    chunks = chunked(work, max(1, chunk_size))
-    worker = _expand_chunk_batched if settings.batch_queries else _expand_chunk
-    expand: Callable[
-        [list[tuple[str, list[str]]]], list[tuple[str, list[str], list[str]]]
-    ] = partial(worker, resources)
-    if settings.columnar:
-        expand = MemoizedChunk(expand)
-    context_terms: dict[str, list[str]] = {}
-    expanded_sets: dict[str, set[str]] = {}
-    vocabulary = Vocabulary()
-    for chunk_result in map_chunks(expand, chunks, parallel, obs=obs):
-        for doc_id, merged, seen_keys in chunk_result:
-            context_terms[doc_id] = merged
-            expanded = set(annotated.term_sets.get(doc_id, set()))
-            expanded.update(seen_keys)
-            expanded_sets[doc_id] = expanded
-            vocabulary.add_document(expanded)
-    _record_metrics(work, context_terms, vocabulary)
     return ContextualizedDatabase(
         annotated=annotated,
         context_terms=context_terms,
         expanded_sets=expanded_sets,
         vocabulary=vocabulary,
+        columns=columns,
     )

@@ -11,19 +11,11 @@ plus a metrics registry with per-stage timers and per-resource cache
 counters.  Without a bundle the no-op tracer is used and every probe
 costs one ``None`` check, so results — including parallel-vs-serial
 bit-for-bit determinism — are unaffected.
-
-.. deprecated:: 1.2
-   ``StageTimings`` moved to :class:`repro.observability.SpanTimings`
-   and the ``cache_stats`` dict became
-   :attr:`FacetExtractionResult.resource_stats` (values are
-   :class:`repro.observability.ResourceStats`).  The old names still
-   work here but emit :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -40,7 +32,6 @@ from ..resources.engine import ResourcePrefetcher
 from .annotate import AnnotatedDatabase, annotate_database
 from .contextualize import ContextualizedDatabase, contextualize
 from .hierarchy import FacetHierarchy, build_facet_hierarchies
-from .interface import FacetedInterface
 from .selection import DEFAULT_TOP_K, FacetTermCandidate, select_facet_terms
 
 log = get_logger(__name__)
@@ -70,39 +61,9 @@ class FacetExtractionResult:
         default=None, init=False, repr=False, compare=False
     )
 
-    @property
-    def cache_stats(self) -> dict[str, ResourceStats]:
-        """Deprecated alias for :attr:`resource_stats`."""
-        warnings.warn(
-            "FacetExtractionResult.cache_stats is deprecated; use "
-            "resource_stats (values are repro.observability.ResourceStats)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.resource_stats
-
     def facet_term_strings(self) -> list[str]:
         """Just the selected terms, ranked by score."""
         return [candidate.term for candidate in self.facet_terms]
-
-    def interface(self, store: DocumentStore | None = None) -> FacetedInterface:
-        """Deprecated: build the faceted browsing interface over the result.
-
-        .. deprecated:: 1.3
-           The interface moved to an explicit build/open lifecycle.  Use
-           :meth:`FacetedInterface.from_result` for in-memory browsing, or
-           compile a serving artifact with
-           :meth:`repro.serving.FacetIndex.build` and reopen it in O(1)
-           with :meth:`repro.serving.FacetIndex.open`.
-        """
-        warnings.warn(
-            "FacetExtractionResult.interface() is deprecated; use "
-            "FacetedInterface.from_result(result) for in-memory browsing "
-            "or repro.serving.FacetIndex.build()/.open() for serving",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return FacetedInterface.from_result(self, store=store)
 
 
 class FacetExtractor:
@@ -225,7 +186,7 @@ class FacetExtractor:
         return self._edge_validator
 
     def _start_prefetcher(self) -> ResourcePrefetcher | None:
-        """Build the cache warm-up stage when the configuration allows it.
+        """Build the cache warm-up stage when the pool can overlap it.
 
         Prefetch pays off only when annotation chunks complete while
         others are still running (a thread-backed pool) — with a serial
@@ -233,9 +194,7 @@ class FacetExtractor:
         of contextualization, so it stays off.
         """
         settings = self._parallel
-        if not (
-            settings.prefetch and settings.enabled and settings.backend == "thread"
-        ):
+        if not (settings.enabled and settings.backend == "thread"):
             return None
         return ResourcePrefetcher(self._prefetch_terms)
 
@@ -253,8 +212,8 @@ class FacetExtractor:
         """Extract facets from a document collection.
 
         ``store``, when given, is carried onto the result so
-        :meth:`FacetExtractionResult.interface` reuses it instead of
-        building a fresh one.
+        :meth:`~repro.core.interface.FacetedInterface.from_result` reuses
+        it instead of building a fresh one.
         """
         obs = self.observability
         timings = SpanTimings()
@@ -374,23 +333,3 @@ class FacetExtractor:
                 timings.hierarchy = time.perf_counter() - start
                 span.add("facets", len(hierarchies))
         return annotated, contextualized, facet_terms, hierarchies
-
-
-def __getattr__(name: str):
-    if name == "StageTimings":
-        warnings.warn(
-            "repro.core.pipeline.StageTimings is deprecated; use "
-            "repro.observability.SpanTimings",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SpanTimings
-    if name == "CacheStats":
-        warnings.warn(
-            "repro.core.pipeline.CacheStats is deprecated; use "
-            "repro.observability.ResourceStats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ResourceStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

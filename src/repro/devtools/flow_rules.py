@@ -59,7 +59,7 @@ FLOW001_SPEC = TaintSpec(
 
 class UnvalidatedResourceFlowRule(Rule):
     """FLOW001: a raw response from a resource fetch (``_query`` and
-    anything that returns one, e.g. ``_instrumented_query``) written
+    anything that returns one, e.g. ``_run_batch_query``) written
     into a cache poisons every later reader of that entry — across
     workers *and* across runs for the persistent tier.  Responses must
     pass :func:`repro.resources.base.validate_context_terms` (or a

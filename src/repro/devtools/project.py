@@ -2,7 +2,7 @@
 
 PR 3's analyzer saw one module at a time, so every invariant it checked
 had to be visible in a single file.  The flow rules need more: "is this
-``self._instrumented_query`` call the method defined 40 lines up?",
+``self._run_batch_query`` call the method defined 40 lines up?",
 "which functions can a parallel worker payload reach?".  This module
 parses the whole tree **once** into:
 

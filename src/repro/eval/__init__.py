@@ -24,11 +24,7 @@ from .recall import RecallStudy
 from .precision import PrecisionStudy
 from .qualification import QualificationTest
 from .user_study import UserStudy, UserStudyResult
-from .efficiency import (
-    BatchedEfficiencyReport,
-    EfficiencyStudy,
-    ParallelEfficiencyReport,
-)
+from .efficiency import EfficiencyStudy, ParallelEfficiencyReport
 from .agreement import AgreementReport, measure_agreement
 from .hierarchy_metrics import HierarchyMetrics, hierarchy_metrics
 
@@ -44,7 +40,6 @@ __all__ = [
     "QualificationTest",
     "UserStudy",
     "UserStudyResult",
-    "BatchedEfficiencyReport",
     "EfficiencyStudy",
     "ParallelEfficiencyReport",
     "AgreementReport",

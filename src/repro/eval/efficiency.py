@@ -41,9 +41,9 @@ from ..resources.resilience import SimulatedLatencyResource
 #: Modeled per-document latency of Google expansion (Section V-D: ~1 s).
 GOOGLE_LATENCY_SECONDS = 1.0
 
-#: Per-query round trip used by the serial-vs-parallel comparison; kept
-#: small so the benchmark finishes quickly — the *ratio* between serial
-#: and parallel wall-clock is what matters, not the absolute latency.
+#: Round trip used by the cold- vs warm-cache comparison; kept small so
+#: the benchmark finishes quickly — the *ratio* between the cold and the
+#: warm wall-clock is what matters, not the absolute latency.
 COMPARISON_LATENCY_SECONDS = 0.01
 
 
@@ -89,231 +89,41 @@ class EfficiencyReport:
 
 @dataclass
 class ParallelEfficiencyReport:
-    """Serial-vs-parallel contextualization over remote resources.
+    """Cold- vs warm-cache contextualization over a remote resource.
 
-    ``serial_s`` and ``parallel_s`` both start from a cold cache;
-    ``warm_s`` re-runs with a fresh resource instance over the persistent
-    store the parallel run populated, so its hits come entirely from the
-    SQLite tier.
+    Both runs use the same worker pool.  ``cold_s`` starts from empty
+    caches and populates a persistent store; ``warm_s`` re-runs with a
+    fresh resource instance over that store, so its hits come entirely
+    from the SQLite tier — the "extract offline" lever of Section V-D.
     """
 
     documents: int
     workers: int
     latency_seconds: float
-    serial_s: float
-    parallel_s: float
+    cold_s: float
     warm_s: float
-    serial_queries: int
-    parallel_queries: int
+    cold_round_trips: int
+    warm_round_trips: int
     warm_persistent_hits: int
     warm_queries: int
 
     @property
-    def speedup(self) -> float:
-        return self.serial_s / max(self.parallel_s, 1e-9)
-
-    @property
     def warm_speedup(self) -> float:
-        return self.serial_s / max(self.warm_s, 1e-9)
+        return self.cold_s / max(self.warm_s, 1e-9)
 
     def format_summary(self) -> str:
         return "\n".join(
             [
-                f"Serial vs parallel expansion over {self.documents} documents "
-                f"(remote resource, {self.latency_seconds * 1000:.0f} ms/query):",
-                f"  serial (1 worker, cold cache):   {self.serial_s:.2f} s "
-                f"({self.serial_queries} remote queries)",
-                f"  parallel ({self.workers} workers, cold cache): "
-                f"{self.parallel_s:.2f} s "
-                f"({self.parallel_queries} remote queries) — "
-                f"{self.speedup:.1f}x speedup",
-                f"  parallel ({self.workers} workers, warm persistent cache): "
-                f"{self.warm_s:.2f} s "
-                f"({self.warm_persistent_hits} distinct terms answered from "
+                f"Cold vs warm persistent cache over {self.documents} documents "
+                f"({self.workers} workers, remote resource, "
+                f"{self.latency_seconds * 1000:.0f} ms/round trip):",
+                f"  cold cache: {self.cold_s:.2f} s "
+                f"({self.cold_round_trips} remote round trips)",
+                f"  warm cache: {self.warm_s:.2f} s "
+                f"({self.warm_round_trips} remote round trips; "
+                f"{self.warm_persistent_hits} distinct terms answered from "
                 f"SQLite across {self.warm_queries} lookups) — "
                 f"{self.warm_speedup:.1f}x speedup",
-            ]
-        )
-
-
-@dataclass
-class BatchedEfficiencyReport:
-    """Per-term engine vs batched query engine, both cold-cache.
-
-    Both runs use the same worker count and the same simulated remote
-    latency; the per-term path pays one round trip per distinct term,
-    the batched path one round trip per chunk batch
-    (:meth:`~repro.resources.resilience.SimulatedLatencyResource.query_many`).
-    ``identical_output`` certifies the two contextualized databases are
-    equal — the batched engine is a pure efficiency change.
-    """
-
-    documents: int
-    workers: int
-    latency_seconds: float
-    per_term_s: float
-    batched_s: float
-    per_term_round_trips: int
-    batched_round_trips: int
-    identical_output: bool
-
-    @property
-    def speedup(self) -> float:
-        return self.per_term_s / max(self.batched_s, 1e-9)
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "documents": self.documents,
-            "workers": self.workers,
-            "latency_seconds": self.latency_seconds,
-            "per_term_s": self.per_term_s,
-            "batched_s": self.batched_s,
-            "per_term_round_trips": self.per_term_round_trips,
-            "batched_round_trips": self.batched_round_trips,
-            "speedup": self.speedup,
-            "identical_output": self.identical_output,
-        }
-
-    def format_summary(self) -> str:
-        return "\n".join(
-            [
-                f"Per-term vs batched expansion over {self.documents} documents "
-                f"({self.workers} workers, "
-                f"{self.latency_seconds * 1000:.0f} ms/round trip):",
-                f"  per-term engine (cold cache): {self.per_term_s:.2f} s "
-                f"({self.per_term_round_trips} remote round trips)",
-                f"  batched engine (cold cache):  {self.batched_s:.2f} s "
-                f"({self.batched_round_trips} remote round trips) — "
-                f"{self.speedup:.1f}x speedup",
-                "  identical facet output: "
-                + ("yes" if self.identical_output else "NO"),
-            ]
-        )
-
-
-@dataclass
-class ColumnarEfficiencyReport:
-    """Legacy dict/Counter data plane vs the columnar one (Steps 1-2).
-
-    Both sides run serially (``workers=1``) over shared substrates with
-    fresh extractor and resource instances per trial, using the local
-    extractors (named entities + Wikipedia titles), the local
-    resources, and the selection stage, so the comparison isolates the
-    data-plane change itself: interned term ids, array-backed
-    statistics folds, and batched resource resolution against
-    per-occurrence string churn.  Selection is reported but not part
-    of the headline speedup — it was vectorized before this plane and
-    consumes the same ``df_map``/``rank_map`` views on both sides.
-
-    Stage times are **CPU seconds** (``time.process_time``), the
-    per-side minimum over ``trials`` interleaved runs — wall-clock on a
-    shared box charges scheduler noise to whichever side is running,
-    while CPU time only moves with the work actually done.
-    ``identical_output`` certifies byte-identical extraction and
-    contextualization output across the two planes.
-    """
-
-    documents: int
-    trials: int
-    legacy_annotation_s: float
-    legacy_contextualization_s: float
-    legacy_selection_s: float
-    columnar_annotation_s: float
-    columnar_contextualization_s: float
-    columnar_selection_s: float
-    identical_output: bool
-
-    @property
-    def annotation_speedup(self) -> float:
-        return self.legacy_annotation_s / max(self.columnar_annotation_s, 1e-9)
-
-    @property
-    def contextualization_speedup(self) -> float:
-        return self.legacy_contextualization_s / max(
-            self.columnar_contextualization_s, 1e-9
-        )
-
-    @property
-    def speedup(self) -> float:
-        """Combined annotation + contextualization speedup."""
-        legacy = self.legacy_annotation_s + self.legacy_contextualization_s
-        columnar = self.columnar_annotation_s + self.columnar_contextualization_s
-        return legacy / max(columnar, 1e-9)
-
-    @property
-    def legacy_annotation_docs_per_s(self) -> float:
-        return self.documents / max(self.legacy_annotation_s, 1e-9)
-
-    @property
-    def legacy_contextualization_docs_per_s(self) -> float:
-        return self.documents / max(self.legacy_contextualization_s, 1e-9)
-
-    @property
-    def columnar_annotation_docs_per_s(self) -> float:
-        return self.documents / max(self.columnar_annotation_s, 1e-9)
-
-    @property
-    def columnar_contextualization_docs_per_s(self) -> float:
-        return self.documents / max(self.columnar_contextualization_s, 1e-9)
-
-    @property
-    def legacy_selection_docs_per_s(self) -> float:
-        return self.documents / max(self.legacy_selection_s, 1e-9)
-
-    @property
-    def columnar_selection_docs_per_s(self) -> float:
-        return self.documents / max(self.columnar_selection_s, 1e-9)
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "documents": self.documents,
-            "trials": self.trials,
-            "legacy_annotation_s": self.legacy_annotation_s,
-            "legacy_contextualization_s": self.legacy_contextualization_s,
-            "legacy_selection_s": self.legacy_selection_s,
-            "columnar_annotation_s": self.columnar_annotation_s,
-            "columnar_contextualization_s": self.columnar_contextualization_s,
-            "columnar_selection_s": self.columnar_selection_s,
-            "legacy_annotation_docs_per_s": self.legacy_annotation_docs_per_s,
-            "legacy_contextualization_docs_per_s": (
-                self.legacy_contextualization_docs_per_s
-            ),
-            "legacy_selection_docs_per_s": self.legacy_selection_docs_per_s,
-            "columnar_annotation_docs_per_s": self.columnar_annotation_docs_per_s,
-            "columnar_contextualization_docs_per_s": (
-                self.columnar_contextualization_docs_per_s
-            ),
-            "columnar_selection_docs_per_s": self.columnar_selection_docs_per_s,
-            "annotation_speedup": self.annotation_speedup,
-            "contextualization_speedup": self.contextualization_speedup,
-            "speedup": self.speedup,
-            "identical_output": self.identical_output,
-        }
-
-    def format_summary(self) -> str:
-        return "\n".join(
-            [
-                f"Legacy vs columnar data plane over {self.documents} "
-                f"documents (workers=1, min CPU time of {self.trials} "
-                "interleaved trials):",
-                f"  annotation:        legacy {self.legacy_annotation_s:.3f} s "
-                f"({self.legacy_annotation_docs_per_s:.0f} docs/s) vs "
-                f"columnar {self.columnar_annotation_s:.3f} s "
-                f"({self.columnar_annotation_docs_per_s:.0f} docs/s) — "
-                f"{self.annotation_speedup:.1f}x",
-                "  contextualization: legacy "
-                f"{self.legacy_contextualization_s:.3f} s "
-                f"({self.legacy_contextualization_docs_per_s:.0f} docs/s) vs "
-                f"columnar {self.columnar_contextualization_s:.3f} s "
-                f"({self.columnar_contextualization_docs_per_s:.0f} docs/s) — "
-                f"{self.contextualization_speedup:.1f}x",
-                f"  selection:         legacy {self.legacy_selection_s:.3f} s "
-                f"({self.legacy_selection_docs_per_s:.0f} docs/s) vs "
-                f"columnar {self.columnar_selection_s:.3f} s "
-                f"({self.columnar_selection_docs_per_s:.0f} docs/s)",
-                f"  combined speedup: {self.speedup:.1f}x",
-                "  identical output: "
-                + ("yes" if self.identical_output else "NO"),
             ]
         )
 
@@ -498,17 +308,12 @@ class EfficiencyStudy:
         latency_seconds: float = COMPARISON_LATENCY_SECONDS,
         cache_path: str = ":memory:",
     ) -> ParallelEfficiencyReport:
-        """Measure contextualization serial vs parallel vs warm-cache.
+        """Measure contextualization from a cold vs a warm persistent cache.
 
-        Expansion over a remote resource is latency-bound: each distinct
-        important term costs one (simulated) round trip.  A thread pool
-        overlaps those round trips, and a warm persistent cache removes
-        them entirely — the two deployment levers of Section V-D.
-
-        Every run here pins ``batch_queries=False``: this comparison
-        isolates the worker-pool lever, so both sides pay one round trip
-        per term (see :meth:`run_batched_comparison` for the batching
-        lever).
+        Expansion over a remote resource is latency-bound: each batch of
+        uncached terms costs one (simulated) round trip.  A warm
+        persistent cache — expansion performed offline, ahead of the
+        run — removes the round trips entirely.
         """
         substrates = self.builder.substrates
         extractors = build_extractors(
@@ -516,210 +321,36 @@ class EfficiencyStudy:
             wikipedia=substrates.wikipedia,
         )
         annotated = annotate_database(documents, extractors)
+        parallel = ParallelConfig(workers=workers)
+        store = PersistentResourceCache(cache_path)
 
-        def remote_google() -> SimulatedLatencyResource:
-            return SimulatedLatencyResource(
+        def timed_run() -> tuple[SimulatedLatencyResource, float]:
+            resource = SimulatedLatencyResource(
                 build_resource(ResourceName.GOOGLE, substrates, self.config),
                 latency_seconds=latency_seconds,
             )
+            resource.attach_cache(store)
+            start = time.perf_counter()
+            contextualize(annotated, [resource], parallel)
+            return resource, time.perf_counter() - start
 
-        def per_term(workers: int) -> ParallelConfig:
-            return ParallelConfig(
-                workers=workers, batch_queries=False, prefetch=False
-            )
-
-        # Serial, cold cache — no persistent tier, so the parallel run
-        # below starts equally cold.
-        serial = remote_google()
-        start = time.perf_counter()
-        contextualize(annotated, [serial], per_term(1))
-        serial_s = time.perf_counter() - start
-
-        # Parallel, cold cache — populates the shared persistent store.
-        store = PersistentResourceCache(cache_path)
-        parallel = remote_google()
-        parallel.attach_cache(store)
-        start = time.perf_counter()
-        contextualize(annotated, [parallel], per_term(workers))
-        parallel_s = time.perf_counter() - start
-
-        # Parallel, warm cache — a *fresh* resource instance over the
-        # now-populated store: every distinct term is a persistent hit.
-        warm = remote_google()
-        warm.attach_cache(store)
-        start = time.perf_counter()
-        contextualize(annotated, [warm], per_term(workers))
-        warm_s = time.perf_counter() - start
-
+        try:
+            # Cold: empty caches; populates the shared persistent store.
+            cold, cold_s = timed_run()
+            # Warm: a *fresh* resource instance over the now-populated
+            # store, so every distinct term is a persistent hit.
+            warm, warm_s = timed_run()
+        finally:
+            store.close()
         warm_stats = warm.cache_stats
         return ParallelEfficiencyReport(
             documents=len(documents),
             workers=workers,
             latency_seconds=latency_seconds,
-            serial_s=serial_s,
-            parallel_s=parallel_s,
+            cold_s=cold_s,
             warm_s=warm_s,
-            serial_queries=serial.simulated_calls,
-            parallel_queries=parallel.simulated_calls,
+            cold_round_trips=cold.simulated_calls,
+            warm_round_trips=warm.simulated_calls,
             warm_persistent_hits=warm_stats.persistent_hits,
             warm_queries=warm_stats.queries,
-        )
-
-    def run_batched_comparison(
-        self,
-        documents: list[Document],
-        workers: int = 4,
-        latency_seconds: float = COMPARISON_LATENCY_SECONDS,
-    ) -> BatchedEfficiencyReport:
-        """Measure the batched query engine against the per-term path.
-
-        Both runs share one annotation, use the same worker count and
-        start from a cold cache over the same simulated remote resource.
-        The per-term path issues one round trip per distinct term per
-        chunk miss; the batched path deduplicates each chunk's terms and
-        answers them with one bulk round trip
-        (:meth:`~repro.resources.resilience.SimulatedLatencyResource.query_many`),
-        with single-flight coalescing deduplicating across concurrent
-        chunks.  The report also certifies the two contextualized
-        databases are identical.
-        """
-        substrates = self.builder.substrates
-        extractors = build_extractors(
-            [ExtractorName.NAMED_ENTITIES, ExtractorName.WIKIPEDIA],
-            wikipedia=substrates.wikipedia,
-        )
-        annotated = annotate_database(documents, extractors)
-
-        def remote_google() -> SimulatedLatencyResource:
-            return SimulatedLatencyResource(
-                build_resource(ResourceName.GOOGLE, substrates, self.config),
-                latency_seconds=latency_seconds,
-            )
-
-        per_term = remote_google()
-        start = time.perf_counter()
-        per_term_db = contextualize(
-            annotated,
-            [per_term],
-            ParallelConfig(workers=workers, batch_queries=False, prefetch=False),
-        )
-        per_term_s = time.perf_counter() - start
-
-        batched = remote_google()
-        start = time.perf_counter()
-        batched_db = contextualize(
-            annotated,
-            [batched],
-            ParallelConfig(workers=workers, batch_queries=True),
-        )
-        batched_s = time.perf_counter() - start
-
-        identical = (
-            per_term_db.context_terms == batched_db.context_terms
-            and per_term_db.expanded_sets == batched_db.expanded_sets
-        )
-        return BatchedEfficiencyReport(
-            documents=len(documents),
-            workers=workers,
-            latency_seconds=latency_seconds,
-            per_term_s=per_term_s,
-            batched_s=batched_s,
-            per_term_round_trips=per_term.simulated_calls,
-            batched_round_trips=batched.simulated_calls,
-            identical_output=identical,
-        )
-
-    def run_columnar_comparison(
-        self,
-        documents: list[Document],
-        trials: int = 3,
-    ) -> ColumnarEfficiencyReport:
-        """Measure the columnar data plane against the legacy one.
-
-        Both sides annotate with the local extractors, contextualize
-        with the local resources, and run facet-term selection,
-        serially, over this study's shared substrates; extractors and
-        resources are rebuilt fresh for every run so neither side
-        inherits the other's instance state.  One
-        untimed warm-up of each side primes the substrates' lazy
-        structures (anchor indexes, derived graph/synonym caches) so the
-        timed trials compare steady-state data planes, not first-touch
-        initialization.  Per stage, the report keeps the minimum CPU
-        time across ``trials`` interleaved runs — external noise only
-        ever adds time, so the minimum is the least-contaminated
-        estimate on a shared machine.
-        """
-        substrates = self.builder.substrates
-        legacy_parallel = ParallelConfig(
-            workers=1, columnar=False, batch_queries=False
-        )
-        columnar_parallel = ParallelConfig(
-            workers=1, columnar=True, batch_queries=True
-        )
-        local_resources = [
-            ResourceName.WIKI_GRAPH,
-            ResourceName.WIKI_SYNONYMS,
-            ResourceName.WORDNET,
-        ]
-
-        def run_side(parallel: ParallelConfig):
-            extractors = build_extractors(
-                [ExtractorName.NAMED_ENTITIES, ExtractorName.WIKIPEDIA],
-                wikipedia=substrates.wikipedia,
-            )
-            resources = build_resources(local_resources, substrates, self.config)
-            start = time.process_time()
-            annotated = annotate_database(documents, extractors, parallel=parallel)
-            mid = time.process_time()
-            contextualized = contextualize(annotated, resources, parallel)
-            post_ctx = time.process_time()
-            candidates = select_facet_terms(contextualized)
-            end = time.process_time()
-            return (
-                mid - start,
-                post_ctx - mid,
-                end - post_ctx,
-                annotated,
-                contextualized,
-                candidates,
-            )
-
-        # Untimed warm-up of both sides (substrate lazy structures).
-        run_side(columnar_parallel)
-        run_side(legacy_parallel)
-
-        legacy_ann = legacy_ctx = legacy_sel = float("inf")
-        columnar_ann = columnar_ctx = columnar_sel = float("inf")
-        identical = True
-        for _ in range(max(trials, 1)):
-            l_ann, l_ctx, l_sel, l_annotated, l_contextualized, l_candidates = (
-                run_side(legacy_parallel)
-            )
-            c_ann, c_ctx, c_sel, c_annotated, c_contextualized, c_candidates = (
-                run_side(columnar_parallel)
-            )
-            legacy_ann = min(legacy_ann, l_ann)
-            legacy_ctx = min(legacy_ctx, l_ctx)
-            legacy_sel = min(legacy_sel, l_sel)
-            columnar_ann = min(columnar_ann, c_ann)
-            columnar_ctx = min(columnar_ctx, c_ctx)
-            columnar_sel = min(columnar_sel, c_sel)
-            identical = identical and (
-                l_annotated.important_terms == c_annotated.important_terms
-                and l_contextualized.context_terms
-                == c_contextualized.context_terms
-                and l_contextualized.expanded_sets
-                == c_contextualized.expanded_sets
-                and l_candidates == c_candidates
-            )
-        return ColumnarEfficiencyReport(
-            documents=len(documents),
-            trials=max(trials, 1),
-            legacy_annotation_s=legacy_ann,
-            legacy_contextualization_s=legacy_ctx,
-            legacy_selection_s=legacy_sel,
-            columnar_annotation_s=columnar_ann,
-            columnar_contextualization_s=columnar_ctx,
-            columnar_selection_s=columnar_sel,
-            identical_output=identical,
         )

@@ -20,9 +20,8 @@ from collections import Counter
 from itertools import compress
 
 from ..corpus.document import Document
-from ..text.interning import TextMemo, active_memo, sentences, tokenize
-from ..text.phrases import capitalized_spans, join_span
-from ..text.stopwords import is_common_opener, is_stopword
+from ..text.interning import TextMemo, active_memo
+from ..text.stopwords import is_common_opener
 from .base import ExtractorName, TermExtractor
 
 #: Sentences with at least this fraction of capitalized words are
@@ -31,15 +30,6 @@ HEADLINE_CAP_RATIO = 0.7
 
 #: Maximum tokens in a named-entity span.
 MAX_SPAN_TOKENS = 6
-
-
-def _is_headline(sentence: str) -> bool:
-    tokens = [t for t in tokenize(sentence) if not t.is_numeric]
-    if len(tokens) < 4:
-        return False
-    capitalized = sum(1 for t in tokens if t.is_capitalized)
-    return capitalized / len(tokens) >= HEADLINE_CAP_RATIO
-
 
 #: Lower-case particles that may join adjacent capitalized runs; must
 #: stay equal to the set in :func:`~repro.text.phrases.capitalized_spans`.
@@ -52,53 +42,18 @@ class NamedEntityExtractor(TermExtractor):
     name = ExtractorName.NAMED_ENTITIES
 
     def extract(self, document: Document) -> list[str]:
-        memo = active_memo()
-        if memo is not None:
-            return self._extract_columnar(document, memo)
-        text = document.text
-        body_sentences = [s for s in sentences(text) if not _is_headline(s)]
-        # Count capitalized occurrences to vet sentence-initial singletons.
-        cap_counts: Counter[str] = Counter()
-        for sentence in body_sentences:
-            for token in tokenize(sentence):
-                if token.is_capitalized:
-                    cap_counts[token.text] += 1
+        """Entities of ``document`` in first-seen order.
 
-        entities: list[str] = []
-        seen: set[str] = set()
-        for sentence in body_sentences:
-            for span in capitalized_spans(sentence):
-                if len(span) > MAX_SPAN_TOKENS:
-                    continue
-                surface = join_span(span)
-                if len(span) == 1:
-                    token = span[0]
-                    if is_stopword(token.text) or len(token.text) <= 2:
-                        continue
-                    if is_common_opener(token.text):
-                        continue
-                    at_sentence_start = token.start == 0
-                    if at_sentence_start and cap_counts[token.text] < 2:
-                        continue
-                key = surface.lower()
-                if key not in seen:
-                    seen.add(key)
-                    entities.append(surface)
-        return entities
-
-    def _extract_columnar(
-        self, document: Document, memo: TextMemo
-    ) -> list[str]:
-        """The plain chunker over memoized sentence columns.
-
-        One fused sweep per sentence replaces the three token passes of
-        the plain path (headline test, capitalized-occurrence count,
-        span chunking); every predicate reads a precomputed column, and
-        the dedup key is the join of the span's lower-cased tokens —
-        ``surface.lower()`` exactly, since lower-casing distributes over
-        a space join.  Same entities, same order (pinned by
-        ``tests/test_columnar.py`` and the differential matrix).
+        One fused sweep per sentence over the memoized sentence columns
+        (the active text memo, or a throwaway one) runs the headline
+        test, the capitalized-occurrence count and the span chunking;
+        every predicate reads a precomputed column, and the dedup key is
+        the join of the span's lower-cased tokens — ``surface.lower()``
+        exactly, since lower-casing distributes over a space join.
+        ``tests/test_extractor_oracles.py`` checks the result against a
+        Token-object reference chunker.
         """
+        memo = active_memo() or TextMemo()
         body: list = []
         cap_counts: Counter[str] = Counter()
         for sentence in memo.sentences(document.text):

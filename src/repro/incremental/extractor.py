@@ -7,13 +7,14 @@ after any sequence of :meth:`~IncrementalExtractor.append` calls, the
 selected facet terms and hierarchies are **byte-for-byte identical** to
 a from-scratch :meth:`FacetExtractor.run` on the union corpus.  The
 differential harness in ``tests/test_incremental_equivalence.py``
-enforces this across batch schedules, worker counts and query modes.
+enforces this across batch schedules and worker counts.
 
 The contract is met by construction, not by luck — every stage reuses
 the exact code the batch pipeline runs:
 
-* Step 1 statistics use the same ``_stats_chunk`` worker and update the
-  shared :class:`~repro.text.vocabulary.Vocabulary` in place, which
+* Step 1 statistics use the same memoized
+  :func:`~repro.core.annotate.countable_terms_chunk` worker and update
+  the shared :class:`~repro.text.vocabulary.Vocabulary` in place, which
   keeps the background the Yahoo extractor adopted permanently current.
 * Because that background changes with every batch, *every* cached
   document's tf·idf scores can shift.  Re-tokenizing the corpus would
@@ -54,7 +55,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
 
-from ..core.annotate import AnnotatedDatabase, _stats_chunk, merge_important
+from ..core.annotate import (
+    AnnotatedDatabase,
+    countable_terms_chunk,
+    merge_important,
+)
 from ..core.contextualize import ContextualizedDatabase, expand_items
 from ..core.hierarchy import FacetHierarchy, build_hierarchies_from_doc_sets
 from ..core.likelihood import LikelihoodTables
@@ -392,14 +397,12 @@ class IncrementalExtractor:
             obs_names.SPAN_INCREMENTAL_ANNOTATION, documents=len(docs)
         ):
             chunks = chunked(docs, max(1, parallel.resolve_chunk_size(len(docs))))
-            # The memo only deduplicates tokenize/sentences/normalize
-            # calls within a chunk — outputs are unchanged, so the
-            # byte-identity contract with the batch pipeline holds.
-            stats_worker: Callable[[list[Document]], object] = (
-                MemoizedChunk(_stats_chunk) if parallel.columnar else _stats_chunk
-            )
+            # The batch pipeline's statistics worker: each document's
+            # ordered term list is stored verbatim in checkpoints.
             stats: dict[str, list[str]] = {}
-            for chunk_result in map_chunks(stats_worker, chunks, parallel, obs=obs):
+            for chunk_result in map_chunks(
+                countable_terms_chunk, chunks, parallel, obs=obs
+            ):
                 for doc_id, normalized in chunk_result:
                     stats[doc_id] = normalized
             for document in docs:
@@ -411,9 +414,9 @@ class IncrementalExtractor:
                 state.term_sets[document.doc_id] = set(normalized)
                 state.original_vocabulary.add_document(normalized)
                 touched.update(normalized)
-            extract = partial(_annotate_chunk, self._pipeline.extractors, self._modes)
-            if parallel.columnar:
-                extract = MemoizedChunk(extract)
+            extract = MemoizedChunk(
+                partial(_annotate_chunk, self._pipeline.extractors, self._modes)
+            )
             for chunk_result in map_chunks(extract, chunks, parallel, obs=obs):
                 for doc_id, outputs, candidates in chunk_result:
                     doc_state = state.doc_states[doc_id]
@@ -519,9 +522,7 @@ class IncrementalExtractor:
         with obs.tracer.span(
             obs_names.SPAN_INCREMENTAL_CONTEXTUALIZATION, documents=len(items)
         ):
-            expand = partial(expand_items, self._pipeline.resources)
-            if parallel.columnar:
-                expand = MemoizedChunk(expand)
+            expand = MemoizedChunk(partial(expand_items, self._pipeline.resources))
             chunks = chunked(items, max(1, parallel.resolve_chunk_size(len(items))))
             for chunk_result in map_chunks(expand, chunks, parallel, obs=obs):
                 for doc_id, merged, seen_keys in chunk_result:

@@ -123,15 +123,10 @@ def resource_metric(label: str, event: str) -> str:
     of the fixed event suffixes (``memory_hits``, ``persistent_hits``,
     ``misses``, ``errors``, ``coalesced_hits``, ``coalesce_retries``,
     ``coalesce_wait_seconds``, ``batch_queries``,
-    ``batch_query_seconds``, ``batch_size``, ``query_seconds``,
-    ``query_latency``).
+    ``batch_query_seconds``, ``batch_size``).  Single-term lookups are
+    batches of one and count under the ``batch_*`` events.
     """
     return f"resource.{label}.{event}"
-
-
-def resource_span(label: str) -> str:
-    """Span name for one uncached resource call."""
-    return f"resource:{label}"
 
 
 def resource_batch_span(label: str) -> str:

@@ -4,8 +4,7 @@ These are the structured objects carried by
 :class:`~repro.core.pipeline.FacetExtractionResult`.  They live here —
 not in ``core.pipeline`` — because they are observability data, produced
 by the same instrumentation that feeds the tracer and the metrics
-registry.  ``repro.core.pipeline`` re-exports the old names
-(``StageTimings``, the ``cache_stats`` dict) as deprecation shims.
+registry.
 """
 
 from __future__ import annotations
@@ -65,8 +64,9 @@ class ResourceStats:
     ``coalesced_hits`` counts lookups answered by waiting on another
     thread's in-flight query (the single-flight coalescer) — they paid a
     wait (``coalesce_wait_seconds``) but not a backend round trip.
-    ``batch_queries`` counts bulk backend calls issued by the batched
-    path; each one answers many misses at once.
+    ``batch_queries`` counts backend calls issued by the query engine;
+    each one answers all of a lookup's misses at once (a single-term
+    lookup is a batch of one).
     """
 
     memory_hits: int = 0

@@ -14,7 +14,7 @@ plus :class:`CompositeResource` which unions several resources (the
 "All" rows of Tables II-VII).
 """
 
-from .base import CacheStats, ExternalResource, ResourceName
+from .base import ExternalResource, ResourceName
 from .engine import ResourcePrefetcher, SingleFlight
 from .google import GoogleResource
 from .wordnet_hypernyms import WordNetHypernymResource
@@ -31,7 +31,6 @@ from .registry import build_resource, build_resources
 from .resilience import FlakyResource, ResilientResource, SimulatedLatencyResource
 
 __all__ = [
-    "CacheStats",
     "ExternalResource",
     "ResourceName",
     "ResourcePrefetcher",

@@ -19,7 +19,7 @@ Cached entries are stored as **immutable tuples** and every call returns
 a fresh list, so no caller can poison the cache by mutating an answer —
 neither the list it received nor the list ``_query`` originally returned.
 
-On a miss both the single-term and the batched path go through the
+Every lookup — a single term is a batch of one — goes through the
 **batched query engine**:
 
 * concurrent workers asking for the same fresh ``(namespace, term)``
@@ -92,11 +92,6 @@ def validate_context_terms(raw: "list[str] | tuple[str, ...]") -> tuple[str, ...
             cleaned.append(stripped)
     return tuple(cleaned)
 
-#: Backwards-compatible alias: the counter snapshot type moved to
-#: :mod:`repro.observability.stats` as :class:`ResourceStats`.
-CacheStats = ResourceStats
-
-
 class ResourceName(enum.Enum):
     """The four resources of Section IV-B (table row headers)."""
 
@@ -138,53 +133,16 @@ class ExternalResource(abc.ABC):
 
     def context_terms(self, term: str) -> list[str]:
         """Context terms for ``term`` (cached on the normalized form)."""
-        key = normalize_term(term)
-        if not key:
-            return []
-        metrics = current_metrics()
-        while True:
-            cached = self._lookup_tiers(key, metrics)
-            if cached is not None:
-                return list(cached)
-            # Miss on both tiers: claim the key.  The leader answers the
-            # query outside the lock (remote queries are slow); everyone
-            # else waits for the leader's cached answer instead of
-            # re-paying the round trip.
-            flight, leader = self._single_flight.claim(key)
-            if not leader:
-                waited = self._wait_for_flight(flight, metrics)
-                if waited is not None:
-                    return list(waited)
-                continue  # the leader failed; retry (possibly as leader)
-            try:
-                result = validate_context_terms(
-                    self._instrumented_query(term, key, metrics)
-                )
-                persist = not self._consume_no_persist()
-                with self._lock:
-                    self._misses += 1
-                    self._memory_put(key, result)
-                if (
-                    persist
-                    and self._persistent is not None
-                    and self._namespace is not None
-                ):
-                    self._persistent.put(self._namespace, key, result)
-            except BaseException:
-                self._single_flight.abandon(key, flight)
-                raise
-            self._single_flight.resolve(key, flight, result)
-            return list(result)
+        return self.context_terms_many([term])[0]
 
     def context_terms_many(self, terms: Sequence[str]) -> list[list[str]]:
         """Context terms for a term batch, aligned with the input order.
 
         The batch is deduplicated on normalized form (the first surface
-        form seen for a key is the one queried, matching the single-term
-        path) and resolved in one engine pass per tier: one lock
-        acquisition over the LRU, one batched persistent read, one bulk
-        :meth:`query_many` for the keys this caller leads, one batched
-        persistent write-back.  Keys led by another thread are waited on
+        form seen for a key is the one queried) and resolved in one
+        engine pass per tier: one lock acquisition over the LRU, one
+        batched persistent read, one bulk :meth:`query_many` for the
+        keys this caller leads, one batched persistent write-back.  Keys led by another thread are waited on
         (coalesced), never re-queried.
         """
         metrics = current_metrics()
@@ -299,29 +257,6 @@ class ExternalResource(abc.ABC):
                 resolved[key] = value
         return retry
 
-    def _lookup_tiers(self, key: str, metrics) -> tuple[str, ...] | None:
-        """Answer from the LRU or persistent tier, or None on a miss."""
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._memory_hits += 1
-                if metrics is not None:
-                    metrics.increment(obs_names.resource_metric(self.metric_label(), "memory_hits"))
-                return cached
-        if self._persistent is not None and self._namespace is not None:
-            stored = self._persistent.get(self._namespace, key)
-            if stored is not None:
-                with self._lock:
-                    self._persistent_hits += 1
-                    self._memory_put(key, stored)
-                if metrics is not None:
-                    metrics.increment(
-                        obs_names.resource_metric(self.metric_label(), "persistent_hits")
-                    )
-                return stored
-        return None
-
     def _wait_for_flight(self, flight: Flight, metrics) -> tuple[str, ...] | None:
         """Block on another thread's in-flight query.
 
@@ -405,43 +340,6 @@ class ExternalResource(abc.ABC):
                 buckets=BATCH_SIZE_BUCKETS,
             )
         return answers, no_persist
-
-    def _instrumented_query(self, term: str, key: str, metrics) -> list[str]:
-        """Answer an uncached query, recording latency and a call span.
-
-        The expensive path — an actual resource call — gets a span of
-        its own (nested under the active chunk/stage span) plus a miss
-        counter, a latency timer, and a latency histogram; with
-        observability disabled this is one extra ``None`` check.
-        """
-        parent = current_span()
-        if metrics is None and parent is None:
-            return self._query(term)
-        label = self.metric_label()
-        span: Span | None = None
-        if parent is not None:
-            span = Span.begin(obs_names.resource_span(label), term=key)
-        start = time.perf_counter()
-        try:
-            with use_span(span):
-                result = self._query(term)
-        except BaseException:
-            if span is not None:
-                span.finish(status="error")
-                parent.children.append(span)
-            if metrics is not None:
-                metrics.increment(obs_names.resource_metric(label, "errors"))
-            raise
-        elapsed = time.perf_counter() - start
-        if span is not None:
-            span.finish()
-            span.counters["terms"] = float(len(result))
-            parent.children.append(span)
-        if metrics is not None:
-            metrics.increment(obs_names.resource_metric(label, "misses"))
-            metrics.record_time(obs_names.resource_metric(label, "query_seconds"), elapsed)
-            metrics.observe(obs_names.resource_metric(label, "query_latency"), elapsed)
-        return result
 
     def metric_label(self) -> str:
         """Short stable label used in metric names and call spans."""
@@ -540,10 +438,10 @@ class ExternalResource(abc.ABC):
             return len(self._cache)
 
     @property
-    def cache_stats(self) -> CacheStats:
+    def cache_stats(self) -> ResourceStats:
         """Exact hit/miss counters (snapshot)."""
         with self._lock:
-            return CacheStats(
+            return ResourceStats(
                 memory_hits=self._memory_hits,
                 persistent_hits=self._persistent_hits,
                 misses=self._misses,

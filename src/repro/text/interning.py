@@ -2,17 +2,16 @@
 
 Steps 1–2 call the pure text functions — :func:`tokenize`,
 :func:`sentences`, :func:`normalize_term` — many times on the same
-inputs: the stats pass and every extractor re-tokenize each document,
-and every merge re-normalizes the same surface forms.  When the
-columnar plane is active (``ParallelConfig.columnar``), the per-chunk
-workers activate a :class:`TextMemo` that memoizes those functions per
-distinct input string.  Memoizing a pure function cannot change any
-output byte — only how often the regex engine runs — which is what
-keeps the columnar/legacy differential trivially closed at this layer.
+inputs: the stats pass and every extractor read each document, and
+every merge re-normalizes the same surface forms.  The per-chunk
+workers therefore run under a :class:`TextMemo` that memoizes those
+functions per distinct input string (and caches each sentence's token
+stream as :class:`SentenceColumns`).  Memoizing a pure function cannot
+change any output byte — only how often the regex engine runs.
 
 Call sites import the module-level wrappers below instead of the raw
 :mod:`repro.text.tokenizer` functions; with no active memo they
-delegate straight through, so the legacy path is untouched.
+delegate straight through to the raw functions.
 
 The memo is deliberately context-local (a :class:`contextvars.ContextVar`
 set inside the chunk worker): thread-pool chunks never share a dict and
@@ -128,7 +127,7 @@ def use_text_memo(memo: TextMemo) -> Iterator[TextMemo]:
 class MemoizedChunk:
     """Picklable wrapper running a chunk worker under a TextMemo.
 
-    The columnar data plane wraps every per-chunk worker with this: the
+    Steps 1–2 wrap every per-chunk worker with this: the
     chunk's text functions are memoized against one private memo, which
     dies with the chunk.  ContextVars do not propagate into pool
     threads, so activation must happen *inside* the worker — which this

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..text.interning import TextMemo, active_memo, sentences, tokenize
+from ..text.interning import TextMemo, active_memo
 from ..text.stopwords import is_common_opener
 from ..text.tokenizer import normalize_term
 from .database import WikipediaDatabase
@@ -44,11 +44,11 @@ class TitleMatcher:
         if not use_redirects:
             # Titles only: rebuild from page titles, ignoring redirects.
             self._surfaces = {normalize_term(t) for t in database.titles()}
-        # Columnar-plane index: first word of each surface key → the
-        # word counts (longest first) of surfaces opening with it.  A
-        # position can only start an n-word match when some n-word
-        # surface opens with its lower-cased token, so the fast scan
-        # probes exactly the (position, length) pairs that can match.
+        # First word of each surface key → the word counts (longest
+        # first) of surfaces opening with it.  A position can only start
+        # an n-word match when some n-word surface opens with its
+        # lower-cased token, so the scan probes exactly the
+        # (position, length) pairs that can match.
         by_first: dict[str, set[int]] = {}
         for surface in self._surfaces:
             words = surface.split(" ")
@@ -61,65 +61,26 @@ class TitleMatcher:
     def matches(self, text: str) -> list[TitleMatch]:
         """All non-overlapping longest title matches in ``text``.
 
-        With an active text memo (the columnar data plane) the scan runs
-        :meth:`_matches_fast`; without one it runs the plain scan below,
-        which is kept as the benchmark baseline.  Both return identical
-        matches (pinned by ``tests/test_columnar.py`` and the columnar
-        differential matrix).
-        """
-        memo = active_memo()
-        if memo is not None:
-            return self._matches_fast(text, memo)
-        tokens = tokenize(text)
-        words = [token.text for token in tokens]
-        matches: list[TitleMatch] = []
-        i = 0
-        while i < len(words):
-            found = None
-            # Longest candidate first: "pick the longest title".
-            for n in range(min(MAX_TITLE_WORDS, len(words) - i), 0, -1):
-                surface = " ".join(words[i : i + n])
-                key = normalize_term(surface)
-                if key in self._surfaces:
-                    # A single generic lower-case word ("people", "war")
-                    # matching an entry title is almost never a mention of
-                    # that entry; require a proper-noun surface for
-                    # single-word matches.
-                    if n == 1 and (
-                        not words[i][0].isupper() or is_common_opener(words[i])
-                    ):
-                        continue
-                    title = self._db.resolve(surface)
-                    if title is not None:
-                        found = TitleMatch(surface, title, i, i + n)
-                        break
-            if found is not None:
-                matches.append(found)
-                i = found.end_token
-            else:
-                i += 1
-        return matches
-
-    def _matches_fast(self, text: str, memo: TextMemo) -> list[TitleMatch]:
-        """The plain scan's output without its per-candidate regex work.
-
         Every token is a full match of the tokenizer's word regex, so
         ``normalize_term`` of a token is exactly its lower-case form and
         normalization commutes with space-joining — the candidate key of
         a span is the join of its tokens' lower-case forms.  The
         first-word/length index then prunes every (position, length)
-        pair whose key cannot be in the surface table; the survivors run
-        the plain scan's exact checks in the plain scan's exact order.
+        pair whose key cannot be in the surface table; the survivors are
+        checked longest first ("pick the longest title").
+        ``tests/test_extractor_oracles.py`` checks the result against a
+        plain scan that normalizes every candidate.
 
         The token stream is assembled from the memoized per-sentence
-        tokenizations (already computed by the statistics pass) instead
-        of re-tokenizing the full text: sentence splitting only cuts at
-        whitespace, which no token spans, so the concatenated streams
-        carry the same token texts in the same order.
+        tokenizations of the active text memo (or a throwaway one)
+        instead of re-tokenizing the full text: sentence splitting only
+        cuts at whitespace, which no token spans, so the concatenated
+        streams carry the same token texts in the same order.
         """
+        memo = active_memo() or TextMemo()
         words: list[str] = []
         lows: list[str] = []
-        for sentence in sentences(text):
+        for sentence in memo.sentences(text):
             columns = memo.sentence_columns(sentence)
             words.extend(columns.texts)
             lows.extend(columns.lowers)
@@ -140,6 +101,10 @@ class TitleMatcher:
                     continue
                 key = lows[i] if n == 1 else " ".join(lows[i : i + n])
                 if key in surfaces:
+                    # A single generic lower-case word ("people", "war")
+                    # matching an entry title is almost never a mention of
+                    # that entry; require a proper-noun surface for
+                    # single-word matches.
                     if n == 1 and (
                         not words[i][0].isupper() or is_common_opener(words[i])
                     ):

@@ -147,15 +147,6 @@ class TestInterfaceReuse:
         repro.FacetedInterface.from_result(result)
         assert result._built_index is index
 
-    def test_interface_method_is_deprecated_shim(
-        self, small_config, small_corpus
-    ):
-        result = repro.run(small_corpus, config=small_config)
-        with pytest.warns(DeprecationWarning, match="from_result"):
-            interface = result.interface()
-        assert interface._store is result.store
-        assert result._built_index is not None
-
 
 class TestPublicSurface:
     def test_exports(self):

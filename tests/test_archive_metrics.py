@@ -4,99 +4,69 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.archive import FacetArchive
+from repro.core.export import to_dict
 from repro.core.hierarchy import FacetHierarchy, FacetNode
-from repro.errors import StorageError
+from repro.core.pipeline import FacetExtractor
 from repro.eval.hierarchy_metrics import hierarchy_metrics
-from repro.eval.metrics import to_key_set
-from repro.extractors.base import ExtractorName
-from repro.extractors.registry import build_extractors
-from repro.resources.composite import CompositeResource
-from repro.resources.registry import build_resources
+from repro.incremental import IncrementalExtractor
 
 
 @pytest.fixture()
 def archive(builder):
-    from repro.resources.base import ResourceName
-
-    extractors = build_extractors(
-        list(ExtractorName), wikipedia=builder.substrates.wikipedia
-    )
-    resources = build_resources(
-        list(ResourceName), builder.substrates, builder.config
-    )
-    return FacetArchive(
-        extractors,
-        [CompositeResource(resources)],
-        edge_validator=builder.edge_evidence,
-    )
+    """A growing news archive over the default pipeline."""
+    return IncrementalExtractor(builder.build())
 
 
 class TestFacetArchive:
+    """The Section V-D archive loop: documents arrive in batches, only
+    the new batch is annotated and expanded, and the facets stay current
+    (:class:`~repro.incremental.IncrementalExtractor`)."""
+
     def test_empty_archive(self, archive):
-        assert len(archive) == 0
-        assert archive.facet_terms() == []
-        assert archive.hierarchies() == []
+        assert archive.document_count == 0
+        assert archive.facet_terms == []
+        assert archive.hierarchies == []
 
     def test_batched_ingestion(self, archive, snyt):
         docs = list(snyt)
-        archive.add_documents(docs[:30])
-        assert len(archive) == 30
-        archive.add_documents(docs[30:60])
-        assert len(archive) == 60
+        archive.append(docs[:30])
+        assert archive.document_count == 30
+        archive.append(docs[30:60])
+        assert archive.document_count == 60
 
     def test_duplicate_rejected(self, archive, snyt):
-        archive.add_documents(list(snyt)[:5])
-        with pytest.raises(StorageError):
-            archive.add_documents([snyt[0]])
+        archive.append(list(snyt)[:5])
+        with pytest.raises(ValueError):
+            archive.append([snyt[0]])
+        assert archive.document_count == 5
 
     def test_facets_refresh_with_content(self, archive, snyt):
         docs = list(snyt)
-        archive.add_documents(docs[:30])
-        first = [c.term for c in archive.facet_terms(top_k=50)]
-        archive.add_documents(docs[30:90])
-        second = [c.term for c in archive.facet_terms(top_k=50)]
+        archive.append(docs[:30])
+        first = archive.facet_term_strings()[:50]
+        archive.append(docs[30:90])
+        second = archive.facet_term_strings()[:50]
         assert first != second
 
     def test_incremental_equals_batch(self, builder, snyt):
-        """Appending in batches equals one-shot processing for
-        extractors with no corpus-level state (NE + Wikipedia).  The
-        Yahoo stand-in scores against a background corpus, so its
-        important terms legitimately depend on what has been ingested —
-        hence it is excluded from the equivalence check."""
-        from repro.core.annotate import annotate_database
-        from repro.core.contextualize import contextualize
-        from repro.core.selection import select_facet_terms
-        from repro.resources.base import ResourceName
-
+        """Appending in batches equals one-shot processing with every
+        extractor, the Yahoo stand-in included: its background statistics
+        grow with the archive instead of covering only the newest batch."""
         docs = list(snyt)[:40]
-        stateless = [ExtractorName.NAMED_ENTITIES, ExtractorName.WIKIPEDIA]
-        resources = build_resources(
-            list(ResourceName), builder.substrates, builder.config
+        archive = IncrementalExtractor(builder.build())
+        archive.append(docs[:20])
+        archive.append(docs[20:])
+        batch = builder.build().run(docs)
+        assert archive.facet_terms == batch.facet_terms
+        assert to_dict(archive.hierarchies, include_docs=True) == to_dict(
+            batch.hierarchies, include_docs=True
         )
-        archive = FacetArchive(
-            build_extractors(stateless, wikipedia=builder.substrates.wikipedia),
-            [CompositeResource(resources)],
-        )
-        archive.add_documents(docs[:20])
-        archive.add_documents(docs[20:])
-        incremental = {c.term for c in archive.facet_terms(top_k=None)}
 
-        annotated = annotate_database(
-            docs,
-            build_extractors(stateless, wikipedia=builder.substrates.wikipedia),
-        )
-        contextualized = contextualize(
-            annotated, [CompositeResource(resources)]
-        )
-        batch = {c.term for c in select_facet_terms(contextualized, top_k=None)}
-        assert to_key_set(incremental) == to_key_set(batch)
-
-    def test_validation(self):
+    def test_validation(self, builder):
         with pytest.raises(ValueError):
-            FacetArchive([], [object()])
+            IncrementalExtractor(builder.build(), checkpoint_every=0)
         with pytest.raises(ValueError):
-            FacetArchive([object()], [])
+            FacetExtractor([], builder.build().resources)
 
 
 def node(term, doc_ids, children=()):

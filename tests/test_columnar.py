@@ -18,7 +18,6 @@ import random
 
 import pytest
 
-from repro.core.annotate import document_terms
 from repro.core.columnar import (
     HAVE_NUMPY,
     ColumnarCountMap,
@@ -34,6 +33,7 @@ from repro.core.columnar import (
 from repro.core.shifts import ShiftTables
 from repro.corpus.document import Document
 from repro.text.interning import TextMemo, use_text_memo
+from repro.text.phrases import countable_terms
 from repro.text.tokenizer import normalize_term as raw_normalize_term
 from repro.text.tokenizer import sentences as raw_sentences
 from repro.text.tokenizer import tokenize as raw_tokenize
@@ -380,14 +380,14 @@ class TestTextLayerLemmas:
     """The two equivalences the columnar fast paths are built on."""
 
     def test_document_terms_are_normalize_fixed_points(self):
-        """_columnar_stats_chunk may skip normalization entirely."""
-        terms = document_terms(DOC)
+        """The statistics worker may skip normalization entirely."""
+        terms = countable_terms(DOC.text, TextMemo())
         assert terms  # non-trivial input
         for term in terms:
             assert raw_normalize_term(term) == term
 
     def test_sentence_token_streams_concatenate_to_the_full_stream(self):
-        """Single-tokenization document_terms cannot change the words."""
+        """Reading the words per sentence cannot change them."""
         per_sentence = [
             token.lower
             for sentence in raw_sentences(DOC.text)
@@ -412,8 +412,11 @@ class TestTextLayerLemmas:
     def test_title_matcher_fast_scan_is_output_neutral(self, wikipedia):
         from repro.wikipedia.titles import TitleMatcher
 
+        from .test_extractor_oracles import reference_title_matches
+
         matcher = TitleMatcher(wikipedia)
-        plain = matcher.matches(DOC.text)
+        plain = reference_title_matches(matcher, DOC.text)
+        assert matcher.matches(DOC.text) == plain
         with use_text_memo(TextMemo()):
             fast = matcher.matches(DOC.text)
         assert fast == plain

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.annotate import annotate_database, document_terms
+from repro.core.annotate import annotate_database
 from repro.core.contextualize import contextualize
 from repro.core.selection import select_facet_terms
 from repro.corpus.document import Document
 from repro.resources.base import ExternalResource, ResourceName
+from repro.text.interning import TextMemo
+from repro.text.phrases import countable_terms
 
 
 def doc(doc_id: str, text: str) -> Document:
@@ -37,6 +39,10 @@ class StubResource(ExternalResource):
 
     def _query(self, term):
         return list(self.table.get(term.lower(), []))
+
+
+def document_terms(document: Document) -> list[str]:
+    return countable_terms(document.text, TextMemo())
 
 
 class TestDocumentTerms:

@@ -111,3 +111,14 @@ class TestEfficiencyStudy:
         assert report.extraction_with_yahoo_s_per_doc > 2.0  # modeled latency
         assert report.expansion_with_google_s_per_doc >= 1.0
         assert "docs/s" in report.format_summary()
+
+    def test_warm_cache_comparison(self, config, builder, snyt):
+        study = EfficiencyStudy(config, builder)
+        report = study.run_parallel_comparison(
+            snyt.documents[:10], workers=2, latency_seconds=0.001
+        )
+        assert report.cold_round_trips > 0
+        assert report.warm_round_trips == 0
+        assert report.warm_persistent_hits > 0
+        assert report.warm_queries >= report.warm_persistent_hits
+        assert "warm cache" in report.format_summary()

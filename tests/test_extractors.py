@@ -118,14 +118,14 @@ class TestSignificantTermsExtractor:
         # though report has higher tf in the document.
         background = Vocabulary()
         text = "The report this year covered the vaccine and the report."
-        from repro.core.annotate import document_terms
+        from repro.text.phrases import countable_terms
 
         doc_obj = doc(text)
         for _ in range(50):
-            background.add_document(document_terms(doc(  # noqa: B023
+            background.add_document(countable_terms(doc(  # noqa: B023
                 "The report this year covered the budget and the report."
-            )))
-        background.add_document(document_terms(doc_obj))
+            ).text, TextMemo()))
+        background.add_document(countable_terms(doc_obj.text, TextMemo()))
         extractor = SignificantTermsExtractor(background=background, max_terms=4)
         terms = extractor.extract(doc_obj)
         assert "vaccine" in terms

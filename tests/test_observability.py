@@ -484,20 +484,21 @@ class TestPipelineIntegration:
 
 
 class TestDeprecationShims:
-    def test_stage_timings_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="StageTimings"):
-            from repro.core.pipeline import StageTimings
-        assert StageTimings is SpanTimings
+    """The deprecated aliases are gone; their old names now fail plainly."""
 
-    def test_cache_stats_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="CacheStats"):
-            from repro.core.pipeline import CacheStats
-        assert CacheStats is ResourceStats
+    def test_removed_aliases_are_gone(self, instrumented_run):
+        from repro.core import pipeline
+        from repro import resources
 
-    def test_result_cache_stats_property_warns(self, instrumented_run):
         _, result = instrumented_run
-        with pytest.warns(DeprecationWarning, match="cache_stats"):
-            assert result.cache_stats is result.resource_stats
+        for owner, name in (
+            (pipeline, "StageTimings"),
+            (pipeline, "CacheStats"),
+            (resources, "CacheStats"),
+            (result, "cache_stats"),
+            (result, "interface"),
+        ):
+            assert not hasattr(owner, name), name
 
     def test_unknown_attribute_still_raises(self):
         from repro.core import pipeline
