@@ -159,7 +159,6 @@ def build_hierarchies_from_doc_sets(
     max_df_ratio: float | None = DEFAULT_MAX_DF_RATIO,
     max_coverage: float = DEFAULT_MAX_COVERAGE,
     edge_validator: Callable[[str, str], bool] | None = None,
-    overlap: Callable[[str, str], int] | None = None,
 ) -> list[FacetHierarchy]:
     """Build facet trees from precomputed per-term document sets.
 
@@ -167,8 +166,6 @@ def build_hierarchies_from_doc_sets(
     pipeline scans ``expanded_sets`` to produce ``doc_sets``, while the
     incremental pipeline reads them straight from its postings index —
     both then run this exact code, so the trees cannot diverge.
-    ``overlap`` optionally replaces the set-intersection co-occurrence
-    counts (see :func:`repro.core.subsumption.build_subsumption_hierarchy`).
     """
     if not 0 < max_coverage <= 1:
         raise HierarchyError(f"max_coverage must be in (0, 1], got {max_coverage}")
@@ -181,7 +178,6 @@ def build_hierarchies_from_doc_sets(
         max_df_ratio=max_df_ratio,
         max_parent_df=max_parent_df,
         edge_validator=edge_validator,
-        overlap=overlap,
     )
     hierarchies = hierarchies_from_subsumption(subsumption, doc_sets)
     metrics = current_metrics()

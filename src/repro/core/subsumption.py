@@ -72,9 +72,15 @@ def build_subsumption_hierarchy(
     max_df_ratio: float | None = None,
     max_parent_df: int | None = None,
     edge_validator: Callable[[str, str], bool] | None = None,
-    overlap: Callable[[str, str], int] | None = None,
 ) -> SubsumptionHierarchy:
     """Build the hierarchy for ``terms``.
+
+    Each document id gets a bit index and each term an int mask, so
+    ``|docs(x) & docs(y)|`` is the exact ``(mask_x & mask_y).bit_count()``.
+    Pairs are filtered cheapest first: the df caps, the ``P(x | y)`` /
+    ``P(y | x)`` test, whether ``x`` beats the best parent so far, and
+    only then ``edge_validator``.  The filters are pure and AND-ed, so
+    the order cannot change the chosen parent.
 
     Parameters
     ----------
@@ -99,52 +105,51 @@ def build_subsumption_hierarchy(
     edge_validator:
         Optional independent-evidence check ``f(child, parent)``; when
         given, subsumption edges lacking evidence are rejected (see
-        :class:`repro.core.evidence.LinkEvidence`).
-    overlap:
-        Optional co-occurrence provider ``f(x, y) -> |docs(x) & docs(y)|``.
-        The default intersects the ``doc_sets`` entries directly; the
-        incremental pipeline supplies a version-cached provider so
-        unchanged pairs are not re-intersected.  Any provider must
-        return exactly the intersection size — the hierarchy is then
-        identical by construction.
+        :class:`repro.core.evidence.LinkEvidence`).  It must be pure.
     """
     if not 0 < threshold <= 1:
         raise HierarchyError(f"threshold must be in (0, 1], got {threshold}")
     if max_df_ratio is not None and max_df_ratio < 1:
         raise HierarchyError(f"max_df_ratio must be >= 1, got {max_df_ratio}")
-    if overlap is None:
-
-        def overlap(x: str, y: str) -> int:
-            return len(doc_sets[x] & doc_sets[y])
-
     present = [t for t in terms if doc_sets.get(t)]
     hierarchy = SubsumptionHierarchy(
         parents={t: None for t in present},
         children={t: [] for t in present},
     )
+    bit_of: dict[str, int] = {}
+    masks: dict[str, int] = {}
+    dfs: dict[str, int] = {}
+    for term in present:
+        mask = 0
+        # order: bit indices only name documents; counts are order-free
+        for doc_id in doc_sets[term]:
+            mask |= 1 << bit_of.setdefault(doc_id, len(bit_of))
+        masks[term] = mask
+        dfs[term] = len(doc_sets[term])
+    eligible = [
+        x for x in present if max_parent_df is None or dfs[x] <= max_parent_df
+    ]
     # For each term y, find subsumers x and keep the most specific one
-    # (smallest document set strictly larger-than-or-equal coverage).
+    # (smallest document set; the first such x in term order on ties).
     for y in present:
-        docs_y = doc_sets[y]
+        mask_y = masks[y]
+        df_y = dfs[y]
+        max_df = None if max_df_ratio is None else max_df_ratio * df_y
         best_parent: str | None = None
         best_df = None
-        for x in present:
-            if x == y:
+        for x in eligible:
+            df_x = dfs[x]
+            if x == y or (max_df is not None and df_x > max_df):
                 continue
-            docs_x = doc_sets[x]
-            if max_parent_df is not None and len(docs_x) > max_parent_df:
+            if best_df is not None and df_x >= best_df:
                 continue
-            shared = overlap(x, y)
-            p_x_given_y = shared / len(docs_y)
-            p_y_given_x = shared / len(docs_x)
-            if max_df_ratio is not None and len(docs_x) > max_df_ratio * len(docs_y):
+            shared = (masks[x] & mask_y).bit_count()
+            if shared / df_y < threshold or shared / df_x >= 1.0:
                 continue
             if edge_validator is not None and not edge_validator(y, x):
                 continue
-            if p_x_given_y >= threshold and p_y_given_x < 1.0:
-                if best_df is None or len(docs_x) < best_df:
-                    best_parent = x
-                    best_df = len(docs_x)
+            best_parent = x
+            best_df = df_x
         if best_parent is not None and not _creates_cycle(
             hierarchy.parents, y, best_parent
         ):

@@ -194,15 +194,23 @@ class CheckpointStore:
         if sequence < 0:
             raise CheckpointError(f"sequence must be >= 0, got {sequence}")
         self._fire("pre-checkpoint")
-        payload = {
-            "schema": CHECKPOINT_SCHEMA,
-            "sequence": sequence,
-            "checksum": payload_checksum(state),
-            "state": state,
-        }
+        # The state is encoded once: its text is hashed, then spliced in
+        # for the envelope's "state" placeholder, the last value since
+        # the keys sort checksum < schema < sequence < state.
+        state_text = canonical_json(state)
+        envelope = canonical_json(
+            {
+                "schema": CHECKPOINT_SCHEMA,
+                "sequence": sequence,
+                "checksum": hashlib.sha256(state_text.encode("utf-8")).hexdigest(),
+                "state": None,
+            }
+        )
         path = self.snapshot_path(sequence)
-        atomic_write_json(
-            path, payload, before_replace=lambda: self._fire("mid-write")
+        atomic_write_text(
+            path,
+            envelope[: -len("null}\n")] + state_text[:-1] + "}\n",
+            before_replace=lambda: self._fire("mid-write"),
         )
         self._fire("post-write")
         atomic_write_json(

@@ -36,10 +36,8 @@ the exact code the batch pipeline runs:
   sorted order yields exactly the batch pipeline's ranking.
 * Hierarchy construction reads per-term document sets from the
   maintained postings index (no corpus scan) and runs the shared
-  :func:`~repro.core.hierarchy.build_hierarchies_from_doc_sets` with a
-  version-keyed pair-overlap cache: co-occurrence counts of term pairs
-  whose postings did not change since the last batch are reused instead
-  of recomputing set intersections.
+  :func:`~repro.core.hierarchy.build_hierarchies_from_doc_sets`, the
+  batch pipeline's one co-occurrence path.
 
 Checkpointing is delegated to a
 :class:`~repro.incremental.checkpoint.CheckpointStore`; a snapshot is
@@ -52,6 +50,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable, Iterable
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -73,7 +72,12 @@ from ..observability import Observability
 from ..observability import names as obs_names
 from ..observability.logging import get_logger
 from ..parallel import chunked, map_chunks
-from ..text.interning import MemoizedChunk
+from ..text.interning import (
+    MemoizedChunk,
+    TextMemo,
+    install_worker_memo,
+    use_text_memo,
+)
 from ..text.tokenizer import normalize_term
 from .checkpoint import CheckpointStore
 from .state import DocumentState, IncrementalState
@@ -86,9 +90,6 @@ MODE_STATIC = "static"
 MODE_RESCORE = "rescore"
 #: Unknown background consumer — conservatively re-extracted per batch.
 MODE_REEXTRACT = "reextract"
-
-_EMPTY: frozenset[str] = frozenset()
-
 
 @dataclass(frozen=True)
 class IncrementalBatchReport:
@@ -170,9 +171,6 @@ class IncrementalExtractor:
         self._state = state if state is not None else IncrementalState()
         self._facet_terms: list[FacetTermCandidate] = []
         self._hierarchies: list[FacetHierarchy] = []
-        self._overlap_cache: dict[tuple[str, str], tuple[int, int, int]] = {}
-        self._pair_hits = 0
-        self._pair_misses = 0
         self._modes = self._bind_extractors()
         if self._state.document_count:
             obs = self._pipeline.observability
@@ -393,15 +391,25 @@ class IncrementalExtractor:
         state = self._state
         parallel = self._pipeline.parallel
         touched: set[str] = set()
+        # As in annotate_database: an inline run shares one memo across
+        # both passes, a pooled run arms one memo per worker.
+        run_memo = (
+            nullcontext() if parallel.enabled else use_text_memo(TextMemo())
+        )
+        initializer = install_worker_memo if parallel.enabled else None
         with obs.tracer.span(
             obs_names.SPAN_INCREMENTAL_ANNOTATION, documents=len(docs)
-        ):
+        ), run_memo:
             chunks = chunked(docs, max(1, parallel.resolve_chunk_size(len(docs))))
             # The batch pipeline's statistics worker: each document's
             # ordered term list is stored verbatim in checkpoints.
             stats: dict[str, list[str]] = {}
             for chunk_result in map_chunks(
-                countable_terms_chunk, chunks, parallel, obs=obs
+                countable_terms_chunk,
+                chunks,
+                parallel,
+                obs=obs,
+                initializer=initializer,
             ):
                 for doc_id, normalized in chunk_result:
                     stats[doc_id] = normalized
@@ -417,7 +425,9 @@ class IncrementalExtractor:
             extract = MemoizedChunk(
                 partial(_annotate_chunk, self._pipeline.extractors, self._modes)
             )
-            for chunk_result in map_chunks(extract, chunks, parallel, obs=obs):
+            for chunk_result in map_chunks(
+                extract, chunks, parallel, obs=obs, initializer=initializer
+            ):
                 for doc_id, outputs, candidates in chunk_result:
                     doc_state = state.doc_states[doc_id]
                     doc_state.outputs = outputs
@@ -594,59 +604,20 @@ class IncrementalExtractor:
         self._hierarchies = []
         if pipeline.build_hierarchies:
             with obs.tracer.span(obs_names.SPAN_INCREMENTAL_HIERARCHY) as span:
-                self._hierarchies = self._build_hierarchies(obs)
+                terms = [normalize_term(c.term) for c in self._facet_terms]
+                doc_sets: dict[str, set[str]] = {}
+                for term in terms:
+                    docs = state.postings.get(term)
+                    if docs:
+                        doc_sets[term] = docs
+                self._hierarchies = build_hierarchies_from_doc_sets(
+                    terms,
+                    doc_sets,
+                    state.document_count,
+                    threshold=pipeline.subsumption_threshold,
+                    edge_validator=pipeline.edge_validator,
+                )
                 span.add("facets", len(self._hierarchies))
-
-    def _build_hierarchies(self, obs: Observability) -> list[FacetHierarchy]:
-        state = self._state
-        pipeline = self._pipeline
-        terms = [normalize_term(c.term) for c in self._facet_terms]
-        doc_sets: dict[str, set[str]] = {}
-        for term in terms:
-            docs = state.postings.get(term)
-            if docs:
-                doc_sets[term] = docs
-        self._pair_hits = 0
-        self._pair_misses = 0
-        hierarchies = build_hierarchies_from_doc_sets(
-            terms,
-            doc_sets,
-            state.document_count,
-            threshold=pipeline.subsumption_threshold,
-            edge_validator=pipeline.edge_validator,
-            overlap=self._overlap,
-        )
-        # Keep the pair cache bounded to pairs over the current facet
-        # terms; everything else can never be asked for again cheaply.
-        current = set(terms)
-        self._overlap_cache = {
-            pair: entry
-            for pair, entry in self._overlap_cache.items()
-            if pair[0] in current and pair[1] in current
-        }
-        if obs.metrics is not None:
-            obs.metrics.increment(
-                obs_names.INCREMENTAL_PAIR_CACHE_HITS, self._pair_hits
-            )
-            obs.metrics.increment(
-                obs_names.INCREMENTAL_PAIR_CACHE_MISSES, self._pair_misses
-            )
-        return hierarchies
-
-    def _overlap(self, x: str, y: str) -> int:
-        """Version-cached ``|docs(x) ∩ docs(y)|`` over the postings index."""
-        state = self._state
-        version_x = state.term_versions.get(x, 0)
-        version_y = state.term_versions.get(y, 0)
-        key = (x, y)
-        entry = self._overlap_cache.get(key)
-        if entry is not None and entry[0] == version_x and entry[1] == version_y:
-            self._pair_hits += 1
-            return entry[2]
-        count = len(state.postings.get(x, _EMPTY) & state.postings.get(y, _EMPTY))
-        self._overlap_cache[key] = (version_x, version_y, count)
-        self._pair_misses += 1
-        return count
 
     # -- checkpointing -------------------------------------------------------
 

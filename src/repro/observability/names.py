@@ -90,12 +90,6 @@ INCREMENTAL_RESCORED_CANDIDATES: Final = "incremental.rescored_candidates"
 #: Counter: terms scored during selection.
 INCREMENTAL_SCORED_TERMS: Final = "incremental.scored_terms"
 
-#: Counter: subsumption pair-cache hits during hierarchy rebuild.
-INCREMENTAL_PAIR_CACHE_HITS: Final = "incremental.pair_cache_hits"
-
-#: Counter: subsumption pair-cache misses during hierarchy rebuild.
-INCREMENTAL_PAIR_CACHE_MISSES: Final = "incremental.pair_cache_misses"
-
 
 # -- columnar data plane -----------------------------------------------------
 

@@ -141,9 +141,10 @@ class ExternalResource(abc.ABC):
         The batch is deduplicated on normalized form (the first surface
         form seen for a key is the one queried) and resolved in one
         engine pass per tier: one lock acquisition over the LRU, one
-        batched persistent read, one bulk :meth:`query_many` for the
-        keys this caller leads, one batched persistent write-back.  Keys led by another thread are waited on
-        (coalesced), never re-queried.
+        batched persistent read, one LRU re-check of the keys this
+        caller claims, one bulk :meth:`query_many` for the keys it
+        leads, one batched persistent write-back.  Keys led by another
+        thread are waited on (coalesced), never re-queried.
         """
         metrics = current_metrics()
         keys = [normalize_term(term) for term in terms]
@@ -167,20 +168,7 @@ class ExternalResource(abc.ABC):
         """One engine pass over ``keys``; returns keys that must retry
         (their leader failed after we started waiting on it)."""
         label = self.metric_label()
-        missing: list[str] = []
-        with self._lock:
-            for key in keys:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    self._memory_hits += 1
-                    resolved[key] = cached
-                else:
-                    missing.append(key)
-        if metrics is not None and len(missing) != len(keys):
-            metrics.increment(
-                obs_names.resource_metric(label, "memory_hits"), len(keys) - len(missing)
-            )
+        missing = self._from_memory(keys, resolved, metrics)
         if not missing:
             return []
         if self._persistent is not None and self._namespace is not None:
@@ -208,6 +196,15 @@ class ExternalResource(abc.ABC):
                 claimed[key] = flight
             else:
                 waiting.append((key, flight))
+        if leaders:
+            # A key another thread resolved between the LRU check above
+            # and its claim is in the LRU by now: answer it from there.
+            unanswered = self._from_memory(leaders, resolved, metrics)
+            if len(unanswered) != len(leaders):
+                for key in leaders:
+                    if key in resolved:
+                        self._single_flight.resolve(key, claimed[key], resolved[key])
+                leaders = unanswered
         if leaders:
             try:
                 answers, no_persist = self._run_batch_query(
@@ -256,6 +253,31 @@ class ExternalResource(abc.ABC):
             else:
                 resolved[key] = value
         return retry
+
+    def _from_memory(
+        self,
+        keys: list[str],
+        resolved: dict[str, tuple[str, ...]],
+        metrics,
+    ) -> list[str]:
+        """Answer ``keys`` from the LRU tier into ``resolved``; returns
+        the keys it does not hold, in order."""
+        missing: list[str] = []
+        with self._lock:
+            for key in keys:
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self._cache.move_to_end(key)
+                    self._memory_hits += 1
+                    resolved[key] = cached
+                else:
+                    missing.append(key)
+        if metrics is not None and len(missing) != len(keys):
+            metrics.increment(
+                obs_names.resource_metric(self.metric_label(), "memory_hits"),
+                len(keys) - len(missing),
+            )
+        return missing
 
     def _wait_for_flight(self, flight: Flight, metrics) -> tuple[str, ...] | None:
         """Block on another thread's in-flight query.

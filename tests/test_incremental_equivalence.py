@@ -27,6 +27,8 @@ from repro.config import ParallelConfig, ReproConfig
 from repro.corpus import build_snyt
 from repro.core.export import to_dict
 from repro.incremental import IncrementalExtractor, IncrementalState, canonical_json
+from repro.text.interning import SentenceColumns
+from repro.text.tokenizer import sentences
 
 SCALE = 0.05
 
@@ -163,6 +165,27 @@ class TestAppendSemantics:
         assert second.batch_id == "batch-000001"
         assert second.documents == 10
         assert extractor.batches_done == ["first", "batch-000001"]
+
+    def test_serial_append_tokenizes_each_sentence_once(
+        self, inc_builder, docs, monkeypatch
+    ):
+        # The statistics and extraction passes share one text memo, as
+        # in annotate_database: every distinct sentence of the batch is
+        # split into columns exactly once.
+        built = []
+        original = SentenceColumns.__init__
+
+        def counting_init(self, sentence):
+            built.append(sentence)
+            original(self, sentence)
+
+        inc_builder.with_parallel(ParallelConfig(workers=1))
+        extractor = inc_builder.build_incremental()
+        batch = docs[:20]
+        monkeypatch.setattr(SentenceColumns, "__init__", counting_init)
+        extractor.append(batch)
+        distinct = {s for document in batch for s in sentences(document.text)}
+        assert len(built) == len(distinct)
 
     def test_empty_batch_is_a_no_op_for_results(self, inc_builder, docs):
         inc_builder.with_parallel(ParallelConfig(workers=1))

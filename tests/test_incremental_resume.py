@@ -180,6 +180,31 @@ class TestAtomicWrite:
         second = CheckpointStore(tmp_path / "two").save(state, sequence=4)
         assert filecmp.cmp(first, second, shallow=False)
 
+    def test_snapshot_bytes_are_canonical_json_of_the_payload(self, tmp_path):
+        from repro.incremental.checkpoint import CHECKPOINT_SCHEMA, payload_checksum
+
+        state = {
+            "title": "Zürich — 東京 ☃",
+            "empty_list": [],
+            "empty_dict": {},
+            "docs": {"é": {"terms": ["naïve", ""], "tf": 2.5}},
+            "n": None,
+        }
+        store = CheckpointStore(tmp_path)
+        path = store.save(state, sequence=12)
+        payload = {
+            "schema": CHECKPOINT_SCHEMA,
+            "sequence": 12,
+            "checksum": payload_checksum(state),
+            "state": state,
+        }
+        assert path.read_bytes() == canonical_json(payload).encode("utf-8")
+        assert store.load(12) == state
+        empty = store.save({}, sequence=13)
+        assert empty.read_bytes() == canonical_json(
+            {**payload, "sequence": 13, "checksum": payload_checksum({}), "state": {}}
+        ).encode("utf-8")
+
 
 class TestRecoveryPolicy:
     def _store_with_snapshots(self, tmp_path) -> CheckpointStore:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -204,6 +205,65 @@ class TestSingleFlight:
         assert len(errors) == 1
         assert len(successes) == threads - 1
         assert all(answer == ["ok flaky"] for answer in successes)
+
+    def test_key_resolved_between_lru_check_and_claim_is_not_requeried(
+        self, monkeypatch
+    ):
+        # Another thread resolves two of the keys after this caller's LRU
+        # check but before its claim: the claimed keys must be answered
+        # from the LRU, not queried a second time.
+        resource = SlowResource()
+        flights = resource._single_flight
+        original_claim = flights.claim
+        raced = {"alpha", "gamma"}
+
+        def claim_after_a_rival(key):
+            if key in raced:
+                raced.discard(key)
+                rival = threading.Thread(
+                    target=resource.context_terms_many, args=([key],)
+                )
+                rival.start()
+                rival.join()
+            return original_claim(key)
+
+        monkeypatch.setattr(flights, "claim", claim_after_a_rival)
+        answers = resource.context_terms_many(["Alpha", "Beta", "Gamma", "alpha"])
+        assert answers == [
+            ["ctx alpha", "more alpha"],
+            ["ctx beta", "more beta"],
+            ["ctx gamma", "more gamma"],
+            ["ctx alpha", "more alpha"],
+        ]
+        stats = resource.cache_stats
+        assert stats.misses == 3
+        assert resource.backend_queries == 3
+        assert stats.memory_hits == 2
+        assert flights.in_flight == 0
+
+    def test_overlapping_batches_under_contention_query_each_key_once(self):
+        resource = SlowResource()
+        keys = [f"term {i}" for i in range(300)]
+
+        def worker(seed: int) -> None:
+            order = keys[:]
+            random.Random(seed).shuffle(order)
+            for start in range(0, len(order), 7):
+                resource.context_terms_many(order[start : start + 7])
+
+        pool = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert resource.backend_queries == len(keys)
+        assert resource.cache_stats.misses == len(keys)
 
     def test_primitive_claim_resolve_abandon(self):
         flights = SingleFlight()
